@@ -83,9 +83,18 @@ def _form_text(label: str, mat) -> str:
 
 def _emit(args, payload_json: dict, payload_text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload_json, indent=2, sort_keys=True))
+        text = json.dumps(payload_json, indent=2, sort_keys=True)
     else:
-        print(payload_text)
+        text = payload_text
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe early (e.g. `| head`).  Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again, and
+        # exit quietly with status 1, as Python itself does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
 
 
 def _resolve_form(args) -> tuple[GramLattice, la.IntMatrix | None]:

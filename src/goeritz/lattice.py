@@ -15,6 +15,7 @@ throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,12 @@ class GramLattice:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", la.freeze(self.matrix))
-        if not self.matrix or not la.is_symmetric(self.matrix):
+        # exactly int: floats, strings and bools (true == 1) are rejected
+        if set(map(type, itertools.chain.from_iterable(self.matrix))) - {int}:
+            raise ValueError("Gram matrix entries must be integers")
+        n = len(self.matrix)
+        square = n and all(len(row) == n for row in self.matrix)
+        if not square or not la.is_symmetric(self.matrix):
             raise ValueError("Gram matrix must be square and symmetric")
         if self.basis_labels is None:
             object.__setattr__(self, "basis_labels", _default_labels(self.rank))
@@ -204,6 +210,28 @@ def _match_rows(a: la.IntMatrix, b: la.IntMatrix) -> SignedPermutation | None:
     return SignedPermutation(tuple(perm), tuple(signs))
 
 
+def _column_order(p: la.IntMatrix) -> list[int]:
+    """Most-constrained-first order in which to place the domain columns.
+
+    Start with the basis vector of smallest norm; then repeatedly take the
+    unplaced vector with the most nonzero inner products with the columns
+    already placed, breaking ties by smaller norm, then lower index.  Only
+    the diagonal and the zero pattern of p are read, so the order does not
+    change when basis vectors are negated.
+    """
+    n = len(p)
+    order: list[int] = []
+    rest = list(range(n))
+    while rest:
+        j = min(
+            rest,
+            key=lambda j: (-sum(1 for i in order if p[i][j]), p[j][j], j),
+        )
+        order.append(j)
+        rest.remove(j)
+    return order
+
+
 def enumerate_embeddings(
     lat: GramLattice,
     corank: int,
@@ -213,13 +241,21 @@ def enumerate_embeddings(
     """All embeddings of (Z^n, G) into (Z^{n+corank}, sign*Id), up to signed
     permutation of the target.
 
-    Column-by-column backtracking in domain basis order.  Coordinates of the
-    target are "used" once some earlier column touches them; entries of a new
-    column on still-unused coordinates are normalized to be non-negative,
-    non-increasing and to occupy the lowest-indexed unused coordinates (fresh
-    coordinates are interchangeable under the residual signed-permutation
-    stabilizer, so this loses no orbits).  Completed matrices are
-    canonicalized and deduplicated; the result is sorted by canonical matrix.
+    Column-by-column backtracking in the most-constrained-first order of
+    _column_order.  Coordinates of the target are "used" once some earlier
+    column touches them; entries of a new column on still-unused coordinates
+    are normalized to be non-negative, non-increasing and to occupy the
+    lowest-indexed unused coordinates (fresh coordinates are interchangeable
+    under the residual signed-permutation stabilizer, so this loses no
+    orbits).  Entries on used coordinates are pruned by Cauchy-Schwarz
+    against the suffix norms of the placed columns.  Completed matrices are
+    put back in domain basis order, canonicalized and deduplicated; the
+    result is sorted by canonical matrix, so it does not depend on the
+    search order.
+
+    The columns are kept on an explicit stack; only the filling of a single
+    column recurses, at most m + 2 frames deep.  Every call of that filling
+    counts as one node.
 
     Raises SearchIncomplete when max_nodes is exceeded; returns () when the
     form is not sign-definite.
@@ -232,36 +268,36 @@ def enumerate_embeddings(
     m = n + corank
     target = StandardTarget(m, sign)
     p = la.scale(sign, lat.matrix)  # positive definite; phi^T phi = p
-    nodes = [0]
+    order = _column_order(p)
+    position = [0] * n  # position[j]: search step that places domain column j
+    for k, j in enumerate(order):
+        position[j] = k
+    q = [[p[a][b] for b in order] for a in order]  # p in search order
+    nodes = 0
 
     def tick():
-        nodes[0] += 1
-        if max_nodes is not None and nodes[0] > max_nodes:
-            raise SearchIncomplete(nodes[0])
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise SearchIncomplete(nodes)
 
     found: dict[la.IntMatrix, None] = {}
-    cols: list[tuple[int, ...]] = []
+    cols: list[tuple[int, ...]] = []  # placed columns, in search order
+    suffix: list[list[int]] = []  # suffix[i][t]: squared norm of cols[i][t:]
 
-    def place(j: int, used: int):
-        if j == n:
-            mat = tuple(tuple(col[i] for col in cols) for i in range(m))
-            found[_canonical_rows(mat)] = None
-            return
-        norm_j = p[j][j]
-        targets = [p[i][j] for i in range(j)]
-        # suffix norms of earlier columns over coordinates t..used-1
-        suffix = [
-            [sum(x * x for x in cols[i][t:used]) for t in range(used + 1)]
-            for i in range(j)
-        ]
+    def candidates(j: int, used: int) -> list[tuple[tuple[int, ...], int]]:
+        """Every admissible column j after cols[:j], with the used count
+        after it."""
+        norm_j = q[j][j]
+        targets = [q[i][j] for i in range(j)]
+        out: list[tuple[tuple[int, ...], int]] = []
         vec = [0] * m
 
         def fill_used(t: int, rem: int, ips: list[int]):
             tick()
             if t == used:
-                if any(ip != tgt for ip, tgt in zip(ips, targets)):
-                    return
-                fill_fresh(t, rem, norm_j + 1)
+                if ips == targets:
+                    fill_fresh(t, rem, norm_j + 1)
                 return
             bound = math.isqrt(rem)
             for v in range(-bound, bound + 1):
@@ -281,11 +317,7 @@ def enumerate_embeddings(
         def fill_fresh(t: int, rem: int, prev: int):
             tick()
             if rem == 0:
-                new_used = t
-                col = tuple(vec[:t]) + (0,) * (m - t)
-                cols.append(col)
-                place(j + 1, max(used, new_used))
-                cols.pop()
+                out.append((tuple(vec[:t]) + (0,) * (m - t), t))
                 return
             if t == m:
                 return
@@ -296,8 +328,29 @@ def enumerate_embeddings(
                 vec[t] = 0
 
         fill_used(0, norm_j, [0] * j)
+        return out
 
-    place(0, 0)
+    stack = [iter(candidates(0, 0))]  # stack[k]: untried candidates for column k
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if cols:
+                cols.pop()
+                suffix.pop()
+            continue
+        col, used = step
+        cols.append(col)
+        if len(cols) == n:
+            mat = tuple(zip(*(cols[k] for k in position)))  # domain order
+            found[_canonical_rows(mat)] = None
+            cols.pop()
+            continue
+        tail = [0] * (m + 1)
+        for t in range(m - 1, -1, -1):
+            tail[t] = tail[t + 1] + col[t] * col[t]
+        suffix.append(tail)
+        stack.append(iter(candidates(len(cols), used)))
     return tuple(
         LatticeEmbedding(mat, lat, target) for mat in sorted(found)
     )

@@ -18,6 +18,7 @@ from .lattice import (
     LatticeEmbedding,
     SearchIncomplete,
     SignedPermutation,
+    StandardTarget,
     is_definite,
 )
 
@@ -136,22 +137,35 @@ class ObstructionReport:
 
 
 def _run_problems(
-    cert: KnotCertificate,
     kind: str,
     problems: list[tuple[int, GramLattice, la.IntMatrix, int]],
     max_nodes: int | None,
-    vacuous_reason: str | None = None,
 ) -> SurfaceVerdict:
     """Run a batch of (sign, form, action, corank) equivariant-embedding
-    problems; the obstruction holds only if every problem comes back empty."""
+    problems; the obstruction holds only if every problem comes back empty.
+
+    Problems are keyed by (sign * G, action, corank): the search reads only
+    the positive definite form sign * G, so two problems with one key have
+    the same embedding matrices and the same intertwiners.  Each key is
+    searched once, under its own max_nodes budget; a repeated key's witness
+    matrix is re-wrapped with that problem's own source and target.
+    """
+    solved: dict[tuple, tuple[LatticeEmbedding, SignedPermutation] | None] = {}
     witnesses = []
     try:
         for sign, lat, action, corank in problems:
-            hit = exists_equivariant_embedding(
-                lat, action, corank, sign, max_nodes=max_nodes
-            )
+            key = (la.scale(sign, lat.matrix), action, corank)
+            if key not in solved:
+                solved[key] = exists_equivariant_embedding(
+                    lat, action, corank, sign, max_nodes=max_nodes
+                )
+            hit = solved[key]
             if hit is not None:
-                witnesses.append((sign, hit[0], hit[1]))
+                emb, t = hit
+                emb = LatticeEmbedding(
+                    emb.matrix, lat, StandardTarget(emb.target.rank, sign)
+                )
+                witnesses.append((sign, emb, t))
     except SearchIncomplete as exc:
         return SurfaceVerdict(
             kind,
@@ -174,7 +188,7 @@ def _run_problems(
         applicable=True,
         obstructed=True,
         certifying=True,
-        reason=vacuous_reason or "no equivariant embedding exists",
+        reason="no equivariant embedding exists",
     )
 
 
@@ -205,7 +219,7 @@ def obstruct_equivariant_mobius(
         CoverSign.NEGATIVE_DEFINITE: [plus],
         CoverSign.INDETERMINATE: [minus, plus],
     }[cover]
-    return _run_problems(cert, "mobius", problems, max_nodes)
+    return _run_problems("mobius", problems, max_nodes)
 
 
 def obstruct_equivariant_klein(
@@ -225,7 +239,7 @@ def obstruct_equivariant_klein(
         (1, cert.goeritz_plus, cert.action_plus, 2),
         (-1, cert.goeritz_minus, cert.action_minus, 2),
     ]
-    return _run_problems(cert, "klein", problems, max_nodes)
+    return _run_problems("klein", problems, max_nodes)
 
 
 def gamma4p_lower_bound(

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import goeritz
 from goeritz import family
 from goeritz.cli import main
 
@@ -74,6 +78,14 @@ class TestEmbedVerb:
         )
         assert code == 2
         assert "inconclusive" in err
+
+    @pytest.mark.parametrize("entry", [-2.0, "a", True])
+    def test_non_int_matrix_entry_is_input_error(self, capsys, tmp_path, entry):
+        path = write_json(tmp_path, "f.json", {"matrix": [[entry]]})
+        code, out, err = run(capsys, "embed", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_invalid_budget(self, capsys):
         code, _, err = run(capsys, "embed", "--preset", "12a1019", "--budget", "0")
@@ -210,3 +222,21 @@ class TestFamilyVerb:
     def test_bad_kn_value(self, capsys):
         code, _, _ = run(capsys, "family", "--preset", "k_n:x")
         assert code == 1
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader has closed the pipe before the first write
+        src = os.path.dirname(os.path.dirname(goeritz.__file__))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "goeritz.cli", "family",
+                 "--preset", "k_n:3", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""
+        assert proc.returncode == 1

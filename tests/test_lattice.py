@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import goeritz._intlinalg as la
 from goeritz import family
@@ -39,6 +39,28 @@ def random_negative_definite(rank, rng, max_col_norm=4):
             GramLattice(g), -1
         ):
             return GramLattice(g)
+
+
+@st.composite
+def definite_forms(draw):
+    """-(A^T A) for a drawn full-rank A with entries in {-1, 0, 1}."""
+    rank = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-1, 1), min_size=rank, max_size=rank)
+    a = draw(st.lists(row, min_size=rank, max_size=rank))
+    lat = GramLattice(la.scale(-1, la.matmul(la.transpose(a), a)))
+    assume(is_definite(lat, -1))
+    return lat
+
+
+class TestGramLattice:
+    @pytest.mark.parametrize("entry", [-2.0, "a", True])
+    def test_rejects_non_int_entries(self, entry):
+        with pytest.raises(ValueError, match="integers"):
+            GramLattice(((entry,),))
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="square"):
+            GramLattice(((-3, 1), (1,)))
 
 
 class TestIsDefinite:
@@ -187,6 +209,36 @@ class TestEnumerate:
     def test_budget_raises_incomplete(self):
         with pytest.raises(SearchIncomplete):
             enumerate_embeddings(G_MINUS, 1, -1, max_nodes=10)
+
+    def test_deep_form_has_no_recursion_error(self):
+        # 45 columns: the column stack is explicit, only one column recurses
+        lat = GramLattice(la.scale(-1, la.identity(45)))
+        classes = enumerate_embeddings(lat, 0, -1)
+        assert [e.matrix for e in classes] == [la.scale(-1, la.identity(45))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(lat=definite_forms(), corank=st.integers(0, 2), data=st.data())
+    def test_classes_independent_of_basis_order(self, lat, corank, data):
+        # G' = P^T G P puts basis vector perm[a] of G at position a, so the
+        # search sees another column order; column a of each class of G'
+        # is column perm[a] of a class of G.
+        perm = data.draw(st.permutations(range(lat.rank)))
+        moved = GramLattice(
+            tuple(tuple(lat.matrix[a][b] for b in perm) for a in perm)
+        )
+        back = []
+        for e in enumerate_embeddings(moved, corank, -1):
+            cols = [None] * lat.rank
+            for a, j in enumerate(perm):
+                cols[j] = tuple(row[a] for row in e.matrix)
+            back.append(
+                canonicalize(
+                    LatticeEmbedding(tuple(zip(*cols)), lat, e.target)
+                ).matrix
+            )
+        assert sorted(back) == [
+            e.matrix for e in enumerate_embeddings(lat, corank, -1)
+        ]
 
 
 class TestBruteForceOracle:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import goeritz._intlinalg as la
-from goeritz import family
+from goeritz import equivariance, family
 from goeritz.lattice import GramLattice, enumerate_embeddings
 from goeritz.obstruction import (
     CoverSign,
@@ -164,6 +164,29 @@ class TestGamma4pLowerBound:
         assert rep.gamma4p_lower_bound == 1
         assert not rep.mobius.certifying
         assert not rep.gap_detected
+
+    @pytest.mark.parametrize(
+        "cert", [family.make_certificate_Kn(4), family.fixture_12a1019()],
+        ids=["K_4", "12a1019"],
+    )
+    def test_one_search_per_distinct_problem(self, cert, monkeypatch):
+        # G_+ = -G_- with equal actions: the minus and plus problems share
+        # (sign * G, action, corank), so one enumeration serves both
+        calls = []
+
+        def counting(lat, corank, sign, max_nodes=None):
+            calls.append((la.scale(sign, lat.matrix), corank))
+            return enumerate_embeddings(lat, corank, sign, max_nodes=max_nodes)
+
+        monkeypatch.setattr(equivariance, "enumerate_embeddings", counting)
+        rep = gamma4p_lower_bound(cert)
+        assert len(calls) == len(set(calls)) == 1
+        for sign, emb, t in rep.mobius.witnesses:
+            lat = cert.goeritz_minus if sign == -1 else cert.goeritz_plus
+            assert emb.source == lat
+            assert emb.target.sign == sign
+        if cert.name == "12a1019":
+            assert [w[0] for w in rep.mobius.witnesses] == [-1, 1]
 
     def test_negation_symmetry_of_sign_tests(self):
         # G_+ = -G_- with equal actions: both sign problems see the same classes
