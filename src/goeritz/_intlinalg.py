@@ -7,6 +7,7 @@ here is exact; no floating point appears anywhere in the package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -47,6 +48,13 @@ def scale(s, a):
     return tuple(tuple(s * x for x in row) for row in a)
 
 
+def require_ints(values, what: str) -> None:
+    """ValueError unless every value is exactly an int: not bool, float, str."""
+    bad = sorted(t.__name__ for t in set(map(type, values)) - {int})
+    if bad:
+        raise ValueError(f"{what}: only integers are allowed, got {bad[0]}")
+
+
 def is_symmetric(a) -> bool:
     n, m = shape(a)
     return n == m and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
@@ -61,50 +69,60 @@ def is_permutation_matrix(a) -> bool:
     )
 
 
-def matrix_power_order(a, cap: int = 10_000) -> int:
-    """Multiplicative order of an integer matrix, or 0 if it exceeds cap."""
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("order requires a square matrix")
-    ident = identity(n)
-    p = a
-    for k in range(1, cap + 1):
-        if p == ident:
-            return k
-        p = matmul(p, a)
-    return 0
+def permutation_images(a) -> tuple[int, ...]:
+    """Images of the permutation matrix a: column i has its 1 in row p(i)."""
+    if not is_permutation_matrix(a):
+        raise ValueError("not a permutation matrix")
+    return tuple(col.index(1) for col in zip(*a))
 
 
-def det(a) -> int:
-    """Determinant of an integer matrix via fraction-free Bareiss elimination."""
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    mat = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k] != 0:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
+def permutation_order(images) -> int:
+    """Order of the permutation i -> images[i]: the lcm of its cycle lengths."""
+    order, seen = 1, set()
+    for start in range(len(images)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = images[i], length + 1
+        order = math.lcm(order, length or 1)
+    return order
+
+
+def matrix_power_order(a) -> int:
+    """Order of a permutation matrix; ValueError for any other matrix."""
+    return permutation_order(permutation_images(a))
+
+
+def preserves_form(images, g) -> bool:
+    """True iff g[p(i)][p(j)] == g[i][j] for all i, j, where p(i) = images[i]."""
+    if len(images) != len(g):
+        raise ValueError("permutation and form have different sizes")
+    return all(
+        [g[pi][pj] for pj in images] == list(row) for row, pi in zip(g, images)
+    )
 
 
 def leading_principal_minors(a) -> list[int]:
-    n, _ = shape(a)
-    return [det(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(n)]
+    """Leading principal minors d_1, d_2, ... of a symmetric integer matrix,
+    up to and including the first zero: the pivots of one fraction-free
+    Bareiss pass without row swaps.  Every stage of the elimination stays
+    symmetric, so only the upper triangle is updated (mat[k][i] = mat[i][k])."""
+    n = len(a)
+    mat = [list(row) for row in a]
+    minors, prev = [], 1
+    for k in range(n):
+        piv = mat[k][k]
+        minors.append(piv)
+        if piv == 0:
+            break
+        row_k = mat[k]
+        for i in range(k + 1, n):
+            f = row_k[i]
+            mat[i][i:] = [
+                (x * piv - f * y) // prev for x, y in zip(mat[i][i:], row_k[i:])
+            ]
+        prev = piv
+    return minors
 
 
 def kernel_basis(a) -> IntMatrix:

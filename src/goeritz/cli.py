@@ -34,6 +34,7 @@ from .obstruction import (
     KnotCertificate,
     certificate_from_json,
     gamma4p_lower_bound,
+    parse_action,
     report_to_json,
     report_to_text,
 )
@@ -111,20 +112,8 @@ def _resolve_form(args) -> tuple[GramLattice, la.IntMatrix | None]:
         raise InputError(f"bad form input: {exc}")
     action = None
     if "action" in obj:
-        action = _parse_action(obj["action"], lat.rank)
+        action = parse_action(obj["action"], lat.rank)
     return lat, action
-
-
-def _parse_action(value, n: int) -> la.IntMatrix:
-    if value and isinstance(value[0], list):
-        return la.freeze(value)
-    images = [int(x) for x in value]
-    if sorted(images) != list(range(n)):
-        raise InputError("action permutation list is not a permutation")
-    mat = [[0] * n for _ in range(n)]
-    for i, img in enumerate(images):
-        mat[img][i] = 1
-    return la.freeze(mat)
 
 
 def cmd_goeritz(args) -> int:

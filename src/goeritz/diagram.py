@@ -62,13 +62,7 @@ class RegionAction:
         return self.permutation[0] == 0
 
     def order(self) -> int:
-        seen = self.permutation
-        ident = tuple(range(len(self.permutation)))
-        k = 1
-        while seen != ident:
-            seen = tuple(self.permutation[x] for x in seen)
-            k += 1
-        return k
+        return la.permutation_order(self.permutation)
 
 
 def pre_goeritz(d: CheckerboardDiagram) -> la.IntMatrix:
@@ -130,7 +124,8 @@ def validate_action(d: CheckerboardDiagram, a: RegionAction) -> ActionValidation
 
     Verifies that region 0 is fixed, that the permutation's order equals the
     declared period, and that the induced matrix is an isometry of the
-    Goeritz form.
+    Goeritz form.  With region 0 fixed, that is the same as preserving the
+    pre-Goeritz form, whose rows sum to zero.
     """
     failures = []
     if len(a.permutation) != d.region_count:
@@ -140,11 +135,8 @@ def validate_action(d: CheckerboardDiagram, a: RegionAction) -> ActionValidation
     order = a.order()
     if order != a.period:
         failures.append(f"permutation has order {order}, declared period {a.period}")
-    if a.fixes_deleted_region():
-        g = goeritz(d).matrix
-        f = induced_action_matrix(d, a)
-        if la.matmul(la.matmul(la.transpose(f), g), f) != g:
-            failures.append("induced matrix is not an isometry of the Goeritz form")
+    if a.fixes_deleted_region() and not la.preserves_form(a.permutation, pre_goeritz(d)):
+        failures.append("induced matrix is not an isometry of the Goeritz form")
     return ActionValidation(tuple(failures))
 
 
@@ -158,11 +150,3 @@ def diagram_from_json(obj: dict) -> CheckerboardDiagram:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
-
-
-def action_from_json(obj: dict) -> RegionAction:
-    """Parse {"perm": [p(0),...,p(n)], "period": p}."""
-    try:
-        return RegionAction(tuple(int(x) for x in obj["perm"]), int(obj["period"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed action JSON: {exc}") from exc

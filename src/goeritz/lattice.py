@@ -47,9 +47,7 @@ class GramLattice:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", la.freeze(self.matrix))
-        # exactly int: floats, strings and bools (true == 1) are rejected
-        if set(map(type, itertools.chain.from_iterable(self.matrix))) - {int}:
-            raise ValueError("Gram matrix entries must be integers")
+        la.require_ints(itertools.chain(*self.matrix), "Gram matrix entries")
         n = len(self.matrix)
         square = n and all(len(row) == n for row in self.matrix)
         if not square or not la.is_symmetric(self.matrix):
@@ -139,13 +137,11 @@ class LatticeEmbedding:
 
 
 def is_definite(lat: GramLattice, sign: int) -> bool:
-    """Exact definiteness test by leading-principal-minor signs."""
+    """Exact test that sign * G is positive definite (Sylvester's criterion)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    minors = la.leading_principal_minors(lat.matrix)
-    if sign == 1:
-        return all(d > 0 for d in minors)
-    return all((d < 0 if k % 2 else d > 0) for k, d in enumerate(minors, start=1))
+    minors = la.leading_principal_minors(la.scale(sign, lat.matrix))
+    return len(minors) == lat.rank and all(d > 0 for d in minors)
 
 
 def gram_of(phi: la.IntMatrix, target: StandardTarget) -> la.IntMatrix:

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from . import _intlinalg as la
-from .equivariance import exists_equivariant_embedding, is_isometry
+from .equivariance import exists_equivariant_embedding
 from .lattice import (
     GramLattice,
     LatticeEmbedding,
@@ -81,22 +81,32 @@ class KnotCertificate:
     def __post_init__(self):
         object.__setattr__(self, "action_minus", la.freeze(self.action_minus))
         object.__setattr__(self, "action_plus", la.freeze(self.action_plus))
+        for attr in ("period", "signature", "arf"):
+            la.require_ints((getattr(self, attr),), attr)
+        if self.known_gamma4 is not None:
+            la.require_ints((self.known_gamma4,), "known_gamma4")
+            if self.known_gamma4 < 0:
+                raise ValueError("known_gamma4 must be non-negative")
         if self.period < 2:
             raise ValueError("period must be at least 2")
         congruence_residue(self.signature, self.arf)  # validates both
         if not is_definite(self.goeritz_minus, -1):
             raise ValueError("goeritz_minus must be negative definite")
-        if not is_definite(self.goeritz_plus, 1):
-            raise ValueError("goeritz_plus must be positive definite")
+        # G_+ = -G_- is positive definite iff G_- is negative definite
+        if self.goeritz_plus.matrix != la.neg(self.goeritz_minus.matrix):
+            if not is_definite(self.goeritz_plus, 1):
+                raise ValueError("goeritz_plus must be positive definite")
         for act, lat, side in (
             (self.action_minus, self.goeritz_minus, "minus"),
             (self.action_plus, self.goeritz_plus, "plus"),
         ):
-            if not la.is_permutation_matrix(act):
-                raise ValueError(f"action_{side} is not a permutation matrix")
-            if not is_isometry(act, lat):
+            try:
+                images = la.permutation_images(act)
+            except ValueError:
+                raise ValueError(f"action_{side} is not a permutation matrix") from None
+            if not la.preserves_form(images, lat.matrix):
                 raise ValueError(f"action_{side} is not an isometry of its form")
-            if la.matrix_power_order(act) != self.period:
+            if la.permutation_order(images) != self.period:
                 raise ValueError(f"action_{side} does not have order {self.period}")
 
     @property
@@ -273,6 +283,20 @@ def gamma4p_lower_bound(
     )
 
 
+def parse_action(value, n: int) -> la.IntMatrix:
+    """An action from JSON: an n x n integer matrix or the 0-indexed images."""
+    if not isinstance(value, list):
+        raise ValueError("action must be a list")
+    if all(isinstance(row, list) for row in value):
+        la.require_ints([x for row in value for x in row], "action entries")
+        return la.freeze(value)
+    la.require_ints(value, "action entries")
+    if sorted(value) != list(range(n)):
+        raise ValueError("action permutation list is not a permutation")
+    # column i has its 1 in row value[i]
+    return la.freeze([[int(img == r) for img in value] for r in range(n)])
+
+
 def certificate_from_json(obj: dict) -> KnotCertificate:
     """Parse the documented KnotCertificate JSON schema.
 
@@ -280,18 +304,6 @@ def certificate_from_json(obj: dict) -> KnotCertificate:
     0-indexed images on the basis positions.  If exactly one action is given
     and G_+ = -G_-, the other defaults to it.
     """
-
-    def parse_action(value, n):
-        if value and isinstance(value[0], list):
-            return la.freeze(value)
-        images = [int(x) for x in value]
-        if sorted(images) != list(range(n)):
-            raise ValueError("action permutation list is not a permutation")
-        mat = [[0] * n for _ in range(n)]
-        for i, img in enumerate(images):
-            mat[img][i] = 1
-        return la.freeze(mat)
-
     try:
         g_minus = GramLattice(la.freeze(obj["goeritz_minus"]))
         g_plus = GramLattice(la.freeze(obj["goeritz_plus"]))
@@ -316,9 +328,9 @@ def certificate_from_json(obj: dict) -> KnotCertificate:
             goeritz_plus=g_plus,
             action_minus=parse_action(a_minus, n),
             action_plus=parse_action(a_plus, g_plus.rank),
-            period=int(obj["period"]),
-            signature=int(obj["signature"]),
-            arf=int(obj["arf"]),
+            period=obj["period"],
+            signature=obj["signature"],
+            arf=obj["arf"],
             known_gamma4=obj.get("known_gamma4"),
             action_defaulted=defaulted,
         )

@@ -149,6 +149,16 @@ class TestEquivariantVerb:
         assert code == 0
         assert len(json.loads(out)["classes"]) == 2
 
+    @pytest.mark.parametrize("action", [5, [True, False], [[1.0, 0], [0, 1]]])
+    def test_malformed_action_is_input_error(self, capsys, tmp_path, action):
+        path = write_json(
+            tmp_path, "f.json", {"matrix": [[-3, 1], [1, -2]], "action": action}
+        )
+        code, out, err = run(capsys, "equivariant", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
 
 class TestObstructVerb:
     def test_k3_bound_3(self, capsys):
@@ -197,6 +207,34 @@ class TestObstructVerb:
         payload = json.loads(out)
         assert payload["gamma4p_lower_bound"] == 2
         assert payload["action_defaulted"] == "plus"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("period", 2.9),
+            ("signature", "0"),
+            ("action_minus", [[x == 1 for x in r] for r in family.action_fn(2)]),
+            ("known_gamma4", "one"),
+        ],
+    )
+    def test_non_int_certificate_field_is_input_error(
+        self, capsys, tmp_path, key, value
+    ):
+        cert = family.make_certificate_Kn(2)
+        obj = {
+            "goeritz_minus": [list(r) for r in cert.goeritz_minus.matrix],
+            "goeritz_plus": [list(r) for r in cert.goeritz_plus.matrix],
+            "action_minus": [list(r) for r in cert.action_minus],
+            "period": 2,
+            "signature": 0,
+            "arf": 0,
+        }
+        obj[key] = value
+        path = write_json(tmp_path, "cert.json", obj)
+        code, out, err = run(capsys, "obstruct", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_budget_exit_2(self, capsys):
         code, out, _ = run(

@@ -1,0 +1,152 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+import goeritz._intlinalg as la
+from goeritz.lattice import GramLattice, is_definite
+
+
+def oracle_det(a) -> int:
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return int(det)
+
+
+def oracle_minors(a) -> list[int]:
+    return [oracle_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+
+
+def permutation_matrix(images):
+    n = len(images)
+    mat = [[0] * n for _ in range(n)]
+    for i, img in enumerate(images):
+        mat[img][i] = 1
+    return la.freeze(mat)
+
+
+@st.composite
+def symmetric_matrix(draw, n):
+    upper = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    return la.freeze(
+        [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    )
+
+
+def symmetric_matrices():
+    return st.integers(1, 8).flatmap(symmetric_matrix)
+
+
+@st.composite
+def forms(draw):
+    """Symmetric matrices of every signature: arbitrary ones (mostly
+    indefinite), and +/-(A^T A) with A of 1..n+1 rows, which is semidefinite
+    and singular when A has fewer than n independent rows."""
+    kind = draw(st.sampled_from(["any", "gram", "negative gram"]))
+    if kind == "any":
+        return draw(symmetric_matrices())
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, n + 1))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=rows, max_size=rows))
+    g = la.matmul(la.transpose(a), a)
+    return la.neg(g) if kind == "negative gram" else g
+
+
+class TestLeadingPrincipalMinors:
+    @given(symmetric_matrices())
+    @example(((0, 1), (1, 0)))
+    @example(((1, 1, 0), (1, 1, 0), (0, 0, 5)))
+    def test_matches_oracle_up_to_first_zero(self, a):
+        want = oracle_minors(a)
+        if 0 in want:
+            want = want[: want.index(0) + 1]
+        assert la.leading_principal_minors(a) == want
+
+
+class TestIsDefinite:
+    @given(forms(), st.sampled_from([1, -1]))
+    @example(((1, 0), (0, -1)), 1)  # indefinite
+    @example(((1, 1), (1, 1)), 1)  # positive semidefinite, singular
+    @example(((-2, 1), (1, -1)), -1)  # negative definite
+    def test_agrees_with_sylvester(self, g, sign):
+        sylvester = all(d > 0 for d in oracle_minors(la.scale(sign, g)))
+        assert is_definite(GramLattice(g), sign) == sylvester
+
+
+class TestPermutationOrder:
+    @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+    def test_matches_repeated_matmul(self, images):
+        f = permutation_matrix(images)
+        power, k = f, 1
+        while power != la.identity(len(images)):
+            power, k = la.matmul(power, f), k + 1
+        assert la.matrix_power_order(f) == k
+        assert la.permutation_order(images) == k
+        assert la.permutation_images(f) == tuple(images)
+
+    def test_order_beyond_ten_thousand(self):
+        # disjoint cycles of lengths 7, 11, 13 and 17 on 48 points
+        images, start = [], 0
+        for length in (7, 11, 13, 17):
+            images += [start + (i + 1) % length for i in range(length)]
+            start += length
+        assert la.permutation_order(images) == 7 * 11 * 13 * 17 == 17_017
+        assert la.matrix_power_order(permutation_matrix(images)) == 17_017
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            ((1, 1), (0, 1)),
+            ((2,),),
+            ((1, 0), (0, -1)),
+            ((0, 1), (1, 0), (0, 0)),
+        ],
+    )
+    def test_rejects_non_permutation_matrix(self, a):
+        with pytest.raises(ValueError):
+            la.matrix_power_order(a)
+
+
+class TestPreservesForm:
+    @given(
+        st.integers(1, 7).flatmap(lambda n: st.permutations(range(n))),
+        st.data(),
+        st.booleans(),
+    )
+    def test_matches_matrix_isometry(self, images, data, invariant):
+        n = len(images)
+        g = data.draw(symmetric_matrix(n))
+        f = permutation_matrix(images)
+        if invariant:
+            # sum over the cyclic group generated by f, so f^T g f == g
+            total, power = la.zeros(n, n), la.identity(n)
+            for _ in range(la.permutation_order(images)):
+                term = la.matmul(la.matmul(la.transpose(power), g), power)
+                total = tuple(
+                    tuple(x + y for x, y in zip(r, s)) for r, s in zip(total, term)
+                )
+                power = la.matmul(power, f)
+            g = total
+        want = la.matmul(la.matmul(la.transpose(f), g), f) == g
+        assert la.preserves_form(images, g) == want
+        if invariant:
+            assert want
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(ValueError):
+            la.preserves_form((0, 1), ((1,),))

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 import goeritz._intlinalg as la
 from goeritz import equivariance, family
+from goeritz.diagram import RegionAction, goeritz, induced_action_matrix, validate_action
 from goeritz.lattice import GramLattice, enumerate_embeddings
 from goeritz.obstruction import (
     CoverSign,
@@ -101,6 +103,22 @@ class TestKnotCertificate:
                 period=2, signature=0, arf=0,
             )
 
+    def test_plus_side_tested_when_not_negated_minus(self):
+        g = GramLattice(family.G_MINUS_12A1019)
+        plus = [list(r) for r in g.negated().matrix]
+        plus[0][0] = -1  # G_+ != -G_-, and G_+ is not positive definite
+        with pytest.raises(ValueError, match="goeritz_plus must be positive definite"):
+            KnotCertificate(
+                "bad", g, GramLattice(la.freeze(plus)), la.identity(6),
+                la.identity(6), period=2, signature=0, arf=0,
+            )
+
+    @pytest.mark.parametrize("value", ["one", -1, True, 1.0])
+    def test_rejects_bad_known_gamma4(self, value):
+        cert = family.make_certificate_Kn(2)
+        with pytest.raises(ValueError, match="known_gamma4"):
+            dataclasses.replace(cert, known_gamma4=value)
+
 
 class TestMobiusObstruction:
     def test_k2_obstructed(self):
@@ -194,6 +212,53 @@ class TestGamma4pLowerBound:
         neg = enumerate_embeddings(cert.goeritz_minus, 1, -1)
         pos = enumerate_embeddings(cert.goeritz_plus, 1, 1)
         assert [e.matrix for e in neg] == [e.matrix for e in pos]
+
+
+def conjugated_k3_rotation():
+    """The K_3 rotation conjugated by the transposition of regions 1 and 2.
+
+    It fixes region 0 and has order 3, but it sends region 1 (two crossings
+    with region 0) to region 4 (one crossing with region 0), so it is not an
+    automorphism of the diagram."""
+    rot = family.rotation_region_action(3).permutation
+    swap = (0, 2, 1, 3, 4, 5, 6)
+    return RegionAction(tuple(swap[rot[swap[i]]] for i in range(7)), period=3)
+
+
+class TestValidationFailures:
+    """validate_action and certificate_from_json name the same failed check."""
+
+    def certificate_json(self, d, a):
+        g = goeritz(d).matrix
+        f = induced_action_matrix(d, a)
+        return {
+            "goeritz_minus": [list(r) for r in g],
+            "goeritz_plus": [[-x for x in r] for r in g],
+            "action_minus": [list(r) for r in f],
+            "period": a.period,
+            "signature": 0,
+            "arf": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "action, word",
+        [
+            (conjugated_k3_rotation(), "isometry"),
+            (RegionAction(family.rotation_region_action(3).permutation, 2), "order"),
+        ],
+    )
+    def test_both_reject(self, action, word):
+        d = family.diagram_Kn(3)
+        failures = validate_action(d, action).failures
+        assert len(failures) == 1 and word in failures[0]
+        with pytest.raises(ValueError, match=word):
+            certificate_from_json(self.certificate_json(d, action))
+
+    def test_true_rotation_accepted(self):
+        d = family.diagram_Kn(3)
+        a = family.rotation_region_action(3)
+        assert validate_action(d, a).passed
+        certificate_from_json(self.certificate_json(d, a))
 
 
 class TestCertificateJson:
