@@ -1,14 +1,15 @@
-"""Exact integer and rational matrix helpers.
+"""Exact integer matrix helpers.
 
-Matrices are immutable tuples of row tuples.  Integer work uses plain Python
-ints (arbitrary precision), rational work uses fractions.Fraction.  Everything
-here is exact; no floating point appears anywhere in the package.
+Matrices are immutable tuples of row tuples of plain Python ints (arbitrary
+precision).  Rational solutions come back fraction-free, as an integer
+numerator matrix over one common denominator.  Everything here is exact; no
+floating point appears anywhere in the package.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -36,7 +37,7 @@ def transpose(a) -> IntMatrix:
 def matmul(a, b):
     bt = list(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a
     )
 
 
@@ -214,34 +215,52 @@ def column_hnf(a) -> IntMatrix:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(m))
 
 
-def solve_exact(a, b):
-    """Solve a @ x = b exactly over the rationals.
+def hnf_coordinates(h, b) -> IntMatrix:
+    """The integer x with h @ x = b, for h in column Hermite normal form (as
+    returned by column_hnf) and every column of b in the lattice of h.
 
-    `a` is m x n with full column rank, `b` is m x k; raises ValueError if the
-    system is inconsistent.  Returns an n x k matrix of Fractions.
+    The pivot rows of h form a lower triangular block with a positive
+    diagonal, so x comes from integer forward substitution over those rows.
+    """
+    m, r = shape(h)
+    x: list[list[int]] = []
+    for j in range(r):
+        p = next(i for i in range(m) if h[i][j])  # pivot row of column j
+        acc = list(b[p])
+        for t in range(j):
+            c = h[p][t]
+            if c:
+                acc = [v - c * y for v, y in zip(acc, x[t])]
+        d = h[p][j]
+        assert all(v % d == 0 for v in acc), "b is not in the lattice of h"
+        x.append([v // d for v in acc])
+    return freeze(x)
+
+
+def solve_fraction_free(a, b) -> tuple[IntMatrix, int]:
+    """Solve a @ x = b over the rationals without leaving the integers.
+
+    `a` is m x n with full column rank and `b` is m x k.  One fraction-free
+    Gauss-Jordan pass (Bareiss) over [a | b] returns (num, det) with det != 0
+    and a @ num = det * b, so x = num / det.  Every division is exact: after
+    step s each entry is, up to sign, an (s+1) x (s+1) minor of [a | b].  Raises
+    ValueError if a lacks full column rank or the system is inconsistent.
     """
     m, n = shape(a)
-    _, k = shape(b)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i][j]) for j in range(k)]
-           for i in range(m)]
-    piv_rows: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, m) if rows[i][k]), None)
         if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
+            raise ValueError("solve_fraction_free requires full column rank")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        row_k = rows[k]
+        p = row_k[k]
         for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(c)
-        r += 1
-    if r < n:
-        raise ValueError("solve_exact requires full column rank")
-    for i in range(r, m):
-        if any(aug[i][n + j] != 0 for j in range(k)):
-            raise ValueError("inconsistent linear system")
-    return tuple(tuple(aug[i][n + j] for j in range(k)) for i in range(n))
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], row_k)]
+        prev = p
+    if any(any(row[n:]) for row in rows[n:]):
+        raise ValueError("inconsistent linear system")
+    return freeze(row[n:] for row in rows[:n]), prev

@@ -241,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=int(os.environ.get("GO_BUDGET", DEFAULT_BUDGET)),
             help="search node budget (env GO_BUDGET)",
         )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=int(os.environ.get("GO_JOBS", os.cpu_count() or 1)),
-            help="parallel worker cap (env GO_JOBS); output is "
-            "byte-deterministic regardless",
-        )
         p.add_argument("--format", choices=["json", "text"], default="text")
 
     p = sub.add_parser("goeritz", help="pre-Goeritz and Goeritz matrices")

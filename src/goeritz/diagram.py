@@ -141,12 +141,15 @@ def validate_action(d: CheckerboardDiagram, a: RegionAction) -> ActionValidation
 
 
 def diagram_from_json(obj: dict) -> CheckerboardDiagram:
-    """Parse {"regions": n+1, "crossings": [[i,j,eta],...], "label": ...}."""
+    """Parse {"regions": n+1, "crossings": [[i,j,eta],...], "label": ...}.
+
+    The region count and every crossing entry must be exactly an int: a
+    float, string or bool is rejected, never truncated or coerced.
+    """
     try:
-        return CheckerboardDiagram(
-            region_count=int(obj["regions"]),
-            crossings=tuple((int(i), int(j), int(e)) for i, j, e in obj["crossings"]),
-            label=obj.get("label"),
-        )
+        regions = obj["regions"]
+        crossings = tuple((i, j, e) for i, j, e in obj["crossings"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
+    la.require_ints([regions] + [x for c in crossings for x in c], "diagram entries")
+    return CheckerboardDiagram(regions, crossings, obj.get("label"))

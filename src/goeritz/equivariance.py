@@ -2,9 +2,11 @@
 
 Given an embedding phi of a Gram lattice and an isometry f of its source,
 decide whether some signed permutation F of the target intertwines them
-(F . phi = phi . f).  A fast rational refutation looks at the map induced by
-f on the saturation of the image lattice: if that map fails to be integral,
-no intertwiner of any kind exists and the offending rational entries form a
+(F . phi = phi . f).  Matching the rows of phi . f against the rows of phi up
+to sign decides this completely, and the matching is the witness.  When the
+match fails, a rational refutation looks at the map induced by f on the
+saturation of the image lattice: if that map fails to be integral, no
+intertwiner of any kind exists and the offending rational entries form a
 reproducible certificate.
 """
 
@@ -24,11 +26,16 @@ from .lattice import (
 )
 
 
+def _require_square(f: la.IntMatrix, n: int) -> None:
+    # Checked before any product: zip in la.matmul truncates silently.
+    if len(f) != n or any(len(row) != n for row in f):
+        raise ValueError("action matrix has wrong shape")
+
+
 def is_isometry(f: la.IntMatrix, lat: GramLattice) -> bool:
     """True iff f^T G f = G."""
     f = la.freeze(f)
-    if la.shape(f) != (lat.rank, lat.rank):
-        raise ValueError("action matrix has wrong shape")
+    _require_square(f, lat.rank)
     return la.matmul(la.matmul(la.transpose(f), lat.matrix), f) == lat.matrix
 
 
@@ -68,20 +75,27 @@ def span_restriction_test(phi: LatticeEmbedding, f: la.IntMatrix) -> SpanTestRes
     """Necessary condition for an intertwiner: integrality on the saturation.
 
     The map sending phi(X_i) to phi(f(X_i)) is uniquely defined on the
-    rational span of the image; it must restrict to an integral isometry of
-    the saturation for any intertwiner to exist.  Failure is a complete
-    refutation; passing is necessary but not sufficient.
+    rational span of the image; it must restrict to an integral map of the
+    saturation for any intertwiner to exist.  Failure is a complete
+    refutation; passing is necessary but not sufficient.  An integral induced
+    map is always an isometry of the saturation (the source form is preserved
+    by f and read off the saturation through coordinates of full row rank),
+    so integrality is the whole test.
+
+    All arithmetic is integral: coordinates come from forward substitution
+    on the column HNF, and the induced map from one fraction-free solve;
+    Fractions are built only for the reported map.
     """
     f = la.freeze(f)
     if not is_isometry(f, phi.source):
         raise ValueError("f is not an isometry of the source form")
     basis = saturation_basis(phi.matrix)
-    coords = la.solve_exact(basis, phi.matrix)  # basis @ coords = phi, integral
-    assert all(x.denominator == 1 for row in coords for x in row)
-    coords = tuple(tuple(int(x) for x in row) for row in coords)
-    # induced map M with M @ coords = coords @ f
-    rhs = la.matmul(coords, f)
-    induced = la.transpose(la.solve_exact(la.transpose(coords), la.transpose(rhs)))
+    coords = la.hnf_coordinates(basis, phi.matrix)  # basis @ coords = phi
+    # the induced map M solves M @ coords = coords @ f; solve the transpose
+    num, det = la.solve_fraction_free(
+        la.transpose(coords), la.transpose(la.matmul(coords, f))
+    )
+    induced = tuple(tuple(Fraction(x, det) for x in col) for col in zip(*num))
     certificate = tuple(
         (i, j, x)
         for i, row in enumerate(induced)
@@ -90,12 +104,6 @@ def span_restriction_test(phi: LatticeEmbedding, f: la.IntMatrix) -> SpanTestRes
     )
     if certificate:
         return SpanTestResult(False, induced, certificate, "induced map not integral")
-    m_int = tuple(tuple(int(x) for x in row) for row in induced)
-    form = la.scale(phi.target.sign, la.matmul(la.transpose(basis), basis))
-    if la.matmul(la.matmul(la.transpose(m_int), form), m_int) != form:
-        return SpanTestResult(
-            False, induced, (), "induced map is not an isometry of the saturation"
-        )
     return SpanTestResult(True, induced)
 
 
@@ -121,20 +129,25 @@ def find_equivariant_witness(
 ) -> EquivarianceVerdict:
     """Decide existence of a signed permutation F with F . phi = phi . f.
 
-    Stage 1 is the rational-span test.  Stage 2 matches the rows of phi . f
-    against the rows of phi up to sign: F exists iff the two row multisets
-    agree up to sign, and the matching itself is the witness.  Coordinates
-    outside the image span (zero rows) are filled by the identity assignment.
+    The rows of phi . f are matched against the rows of phi up to sign: F
+    exists iff the two row multisets agree up to sign, and the matching
+    itself is the witness.  Coordinates outside the image span (zero rows)
+    are filled by the identity assignment.  A witness proves that f is an
+    isometry (f^T phi^T phi f = phi^T F^T F phi); only a failed match runs
+    the span test, which checks that precondition and tells a rational
+    refutation (with its certificate) from a refutation by the search.
     """
     f = la.freeze(f)
+    _require_square(f, phi.source.rank)
+    image = la.matmul(phi.matrix, f)
+    witness = _match_rows(phi.matrix, image)
+    if witness is not None:
+        assert witness.apply_rows(phi.matrix) == image
+        return EquivarianceVerdict("witness", witness=witness)
     span = span_restriction_test(phi, f)  # validates the isometry precondition
     if not span.passed:
         return EquivarianceVerdict("refuted_rational", certificate=span.certificate)
-    witness = _match_rows(phi.matrix, la.matmul(phi.matrix, f))
-    if witness is None:
-        return EquivarianceVerdict("refuted_search")
-    assert witness.apply_rows(phi.matrix) == la.matmul(phi.matrix, f)
-    return EquivarianceVerdict("witness", witness=witness)
+    return EquivarianceVerdict("refuted_search")
 
 
 def exists_equivariant_embedding(
@@ -146,18 +159,19 @@ def exists_equivariant_embedding(
 ) -> tuple[LatticeEmbedding, SignedPermutation] | None:
     """First equivariant embedding of (Z^n, G) into (Z^{n+corank}, sign*Id).
 
-    Runs the full enumeration and tests each canonical representative;
-    checking representatives suffices because conjugating an embedding by a
-    signed permutation conjugates any witness to another signed permutation.
-    Propagates SearchIncomplete: an exhausted budget never turns into a
-    "no equivariant embedding" answer.
+    Runs the full enumeration and matches rows for each canonical
+    representative, in sorted order; checking representatives suffices
+    because conjugating an embedding by a signed permutation conjugates any
+    witness to another signed permutation.  No span test runs: the match
+    alone decides.  Propagates SearchIncomplete: an exhausted budget never
+    turns into a "no equivariant embedding" answer.
     """
     if not is_isometry(f, lat):
         raise ValueError("f is not an isometry of the form")
     for rep in enumerate_embeddings(lat, corank, sign, max_nodes=max_nodes):
-        verdict = find_equivariant_witness(rep, f)
-        if verdict.has_witness:
-            return rep, verdict.witness
+        witness = _match_rows(rep.matrix, la.matmul(rep.matrix, f))
+        if witness is not None:
+            return rep, witness
     return None
 
 

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goeritz._intlinalg as la
-from goeritz import family
+from goeritz import equivariance, family
 from goeritz.equivariance import (
+    EquivarianceVerdict,
+    SpanTestResult,
     exists_equivariant_embedding,
     find_equivariant_witness,
     is_isometry,
@@ -18,6 +21,8 @@ from goeritz.lattice import (
     GramLattice,
     LatticeEmbedding,
     SignedPermutation,
+    StandardTarget,
+    _match_rows,
     enumerate_embeddings,
 )
 
@@ -41,6 +46,138 @@ def exhaustive_witness_exists(phi_mat, f):
         else:
             return True
     return False
+
+
+def fraction_solve(a, b):
+    """Oracle: solve a @ x = b by Fraction Gauss-Jordan (a of full column
+    rank, the system consistent); an n x k matrix of Fractions."""
+    m, n = la.shape(a)
+    _, k = la.shape(b)
+    aug = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, b)]
+    r = 0
+    for c in range(n):
+        piv = next(i for i in range(r, m) if aug[i][c] != 0)
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    assert all(x == 0 for row in aug[n:] for x in row[n:]), "inconsistent"
+    return tuple(tuple(aug[i][n + j] for j in range(k)) for i in range(n))
+
+
+def oracle_span_test(phi, f):
+    """The span test by Fraction elimination, with the explicit isometry check
+    on the saturation that the library leaves out as implied."""
+    basis = saturation_basis(phi.matrix)
+    coords = fraction_solve(basis, phi.matrix)
+    assert all(x.denominator == 1 for row in coords for x in row)
+    coords = tuple(tuple(int(x) for x in row) for row in coords)
+    rhs = la.matmul(coords, f)
+    induced = la.transpose(fraction_solve(la.transpose(coords), la.transpose(rhs)))
+    certificate = tuple(
+        (i, j, x)
+        for i, row in enumerate(induced)
+        for j, x in enumerate(row)
+        if x.denominator != 1
+    )
+    if certificate:
+        return SpanTestResult(False, induced, certificate, "induced map not integral")
+    m_int = tuple(tuple(int(x) for x in row) for row in induced)
+    form = la.scale(phi.target.sign, la.matmul(la.transpose(basis), basis))
+    if la.matmul(la.matmul(la.transpose(m_int), form), m_int) != form:
+        return SpanTestResult(
+            False, induced, (), "induced map is not an isometry of the saturation"
+        )
+    return SpanTestResult(True, induced)
+
+
+def span_first_verdict(phi, f):
+    """Oracle: the span test first, then the row match."""
+    span = oracle_span_test(phi, f)
+    if not span.passed:
+        return EquivarianceVerdict("refuted_rational", certificate=span.certificate)
+    witness = _match_rows(phi.matrix, la.matmul(phi.matrix, f))
+    if witness is None:
+        return EquivarianceVerdict("refuted_search")
+    return EquivarianceVerdict("witness", witness=witness)
+
+
+# |entry| shapes of small vectors by squared norm.  Two shapes of one norm
+# are twins: (1, 3) and (1, 1, 2, 2) leave a row match to fail, while (2,)
+# and (1, 1, 1, 1), whose first shape is not primitive, make the image
+# lattice unsaturated and the induced map non-integral.
+SHAPES: dict[int, list[tuple[int, ...]]] = {}
+for _len in (1, 2, 3, 4):
+    for _shape in itertools.combinations_with_replacement((1, 2, 3), _len):
+        SHAPES.setdefault(sum(x * x for x in _shape), []).append(_shape)
+NORMS = sorted(SHAPES)
+TWIN_NORMS = [norm for norm in NORMS if len(SHAPES[norm]) > 1]
+
+
+@st.composite
+def invariant_embeddings(draw):
+    """(phi, f): an embedding of a definite form and an isometry f of it.
+
+    The columns come in blocks.  Every column of a block has the same norm,
+    its own disjoint support, and the block's shared vector c on a few common
+    coordinates, so every permutation of a block's columns preserves the
+    form; f rotates each block, and negates columns where c = 0.  Twin
+    shapes within a block make all three outcomes occur.  Zero rows, a
+    signed permutation of the rows and a relabelling of the source basis are
+    drawn too.
+    """
+    shared = draw(st.integers(0, 2))
+    cols, images = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        norm = draw(st.sampled_from(TWIN_NORMS) | st.sampled_from(NORMS))
+        size = draw(st.integers(1, 3))
+        c = draw(st.lists(st.integers(-2, 2), min_size=shared, max_size=shared))
+        shift = draw(st.integers(1, size))  # shift == size fixes the block
+        for k in range(size):
+            shape = draw(st.sampled_from(SHAPES[norm]))
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(shape),
+                                  max_size=len(shape)))
+            flip = draw(st.sampled_from((1, -1))) if not any(c) else 1
+            cols.append((c, tuple(s * x for s, x in zip(signs, shape))))
+            images.append((len(cols) - 1 - k + (k + shift) % size, flip))
+    pad = draw(st.integers(0, 2))
+    m = shared + sum(len(part) for _, part in cols) + pad
+    rows = [[0] * len(cols) for _ in range(m)]
+    offset = shared
+    for j, (c, part) in enumerate(cols):
+        for i, x in enumerate(c):
+            rows[i][j] = x
+        for i, x in enumerate(part):
+            rows[offset + i][j] = x
+        offset += len(part)
+    n = len(cols)
+    f = [[0] * n for _ in range(n)]
+    for j, (img, flip) in enumerate(images):
+        f[img][j] = flip
+    t = SignedPermutation(
+        tuple(draw(st.permutations(range(m)))),
+        tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))),
+    )
+    q = draw(st.permutations(range(n)))
+    phi = la.freeze([[row[q[k]] for k in range(n)] for row in t.apply_rows(la.freeze(rows))])
+    f = la.freeze([[f[q[a]][q[b]] for b in range(n)] for a in range(n)])
+    sign = draw(st.sampled_from((1, -1)))
+    g = la.scale(sign, la.matmul(la.transpose(phi), phi))
+    return LatticeEmbedding(phi, GramLattice(g), StandardTarget(m, sign)), f
+
+
+def fixture_cases():
+    cases = [(phi, family.ACTION_12A1019) for phi in family.phi_embeddings_12a1019()]
+    for corank in (1, 2):
+        cases += [(e, family.ACTION_12A1019)
+                  for e in enumerate_embeddings(G_MINUS, corank, -1)]
+    for n in (2, 3, 4, 5):
+        cases += [(e, family.action_fn(n)) for e in family.family_embeddings(n)]
+    return cases
 
 
 def random_signed_permutation(m, rng):
@@ -104,6 +241,30 @@ class TestSpanRestriction:
             assert not res.passed
             assert any(x.denominator == 5 for _, _, x in res.certificate)
 
+    @settings(max_examples=150, deadline=None)
+    @given(invariant_embeddings())
+    def test_agrees_with_fraction_oracle(self, case):
+        phi, f = case
+        assert repr(span_restriction_test(phi, f)) == repr(oracle_span_test(phi, f))
+
+    def test_fixtures_agree_with_fraction_oracle(self):
+        for phi, f in fixture_cases():
+            assert repr(span_restriction_test(phi, f)) == repr(oracle_span_test(phi, f))
+
+    @settings(max_examples=150, deadline=None)
+    @given(invariant_embeddings())
+    def test_integral_induced_map_is_isometry_of_saturation(self, case):
+        # Why the span test needs no isometry check of its own.
+        phi, f = case
+        res = span_restriction_test(phi, f)
+        if res.certificate:
+            return
+        m_int = tuple(tuple(int(x) for x in row) for row in res.induced_map)
+        basis = saturation_basis(phi.matrix)
+        form = la.scale(phi.target.sign, la.matmul(la.transpose(basis), basis))
+        assert la.matmul(la.matmul(la.transpose(m_int), form), m_int) == form
+        assert res.passed
+
     def test_saturation_basis_of_family_is_coordinate_prefix(self):
         # even n: the image saturates to the first 2n coordinates
         phi = family.family_embeddings(2)[0]
@@ -144,6 +305,56 @@ class TestFindWitness:
         phi = family.psi_block(3)
         with pytest.raises(ValueError, match="isometry"):
             find_equivariant_witness(phi, ((0, 1), (1, 0)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(invariant_embeddings())
+    def test_match_first_equals_span_first(self, case):
+        phi, f = case
+        assert find_equivariant_witness(phi, f) == span_first_verdict(phi, f)
+
+    def test_fixtures_match_first_equals_span_first(self):
+        for phi, f in fixture_cases():
+            assert find_equivariant_witness(phi, f) == span_first_verdict(phi, f)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            ((1, 0), (0, 1), (0, 0)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((1, 0, 0), (0, 1, 0)),
+            ((1, 0), (0,)),
+            ((1,),),
+        ],
+    )
+    def test_wrong_shape_is_value_error(self, f):
+        phi = family.psi_block(3)  # rank 2
+        with pytest.raises(ValueError, match="shape"):
+            find_equivariant_witness(phi, f)
+        with pytest.raises(ValueError, match="shape"):
+            span_restriction_test(phi, f)
+
+    def test_non_isometry_is_value_error_on_every_class(self):
+        # A non-isometry never has a witness, so the span test always runs
+        # and rejects it.
+        swap = la.freeze([[1 if j == (i + 1) % 6 else 0 for j in range(6)]
+                          for i in range(6)])
+        assert not is_isometry(swap, G_MINUS)
+        for phi in enumerate_embeddings(G_MINUS, 1, -1):
+            with pytest.raises(ValueError, match="isometry"):
+                find_equivariant_witness(phi, swap)
+
+    def test_is_isometry_at_most_once(self, monkeypatch):
+        calls = []
+        real = equivariance.is_isometry
+        monkeypatch.setattr(
+            equivariance, "is_isometry", lambda *a: calls.append(1) or real(*a)
+        )
+        cases = [(phi, family.ACTION_12A1019) for phi in family.phi_embeddings_12a1019()]
+        cases.append((family.family_embeddings(2)[0], family.action_fn(2)))
+        for phi, f in cases:
+            calls.clear()
+            v = find_equivariant_witness(phi, f)
+            assert len(calls) == (0 if v.has_witness else 1)
 
     def test_witness_order_fixes_span(self):
         # a witness for an order-p action fixes every image vector at power p
@@ -223,3 +434,37 @@ class TestExistsEquivariant:
             exists_equivariant_embedding(
                 family.goeritz_Gn(1), ((0, 1), (1, 0)), 1, -1
             )
+
+    def test_wrong_shape_is_value_error(self):
+        with pytest.raises(ValueError, match="shape"):
+            exists_equivariant_embedding(G_MINUS, la.identity(7), 1, -1)
+
+    @pytest.mark.parametrize(
+        "lat, f, corank, expect",
+        [
+            (G_MINUS, family.ACTION_12A1019, 1, True),
+            (family.goeritz_Gn(2), family.action_fn(2), 1, False),
+            (family.goeritz_Gn(3), family.action_fn(3), 2, False),
+        ],
+    )
+    def test_row_match_alone_decides(self, monkeypatch, lat, f, corank, expect):
+        calls = []
+        real = equivariance.is_isometry
+
+        def forbidden(*args):
+            raise AssertionError("span test on the decision path")
+
+        monkeypatch.setattr(
+            equivariance, "is_isometry", lambda *a: calls.append(1) or real(*a)
+        )
+        monkeypatch.setattr(equivariance, "span_restriction_test", forbidden)
+        monkeypatch.setattr(equivariance, "find_equivariant_witness", forbidden)
+        hit = exists_equivariant_embedding(lat, f, corank, -1)
+        assert (hit is not None) is expect
+        assert len(calls) == 1
+
+    def test_12a1019_witness_is_first_class_in_sorted_order(self):
+        classes = enumerate_embeddings(G_MINUS, 1, -1)
+        emb, witness = exists_equivariant_embedding(G_MINUS, family.ACTION_12A1019, 1, -1)
+        assert emb == classes[0]
+        assert witness == find_equivariant_witness(emb, family.ACTION_12A1019).witness

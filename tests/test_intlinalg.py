@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import goeritz._intlinalg as la
 from goeritz.lattice import GramLattice, is_definite
@@ -150,3 +150,59 @@ class TestPreservesForm:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             la.preserves_form((0, 1), ((1,),))
+
+
+@st.composite
+def int_matrix(draw, rows, cols, bound=3):
+    row = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
+    return la.freeze(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@st.composite
+def full_column_rank(draw):
+    """An m x n integer matrix of rank n, with m >= n."""
+    n = draw(st.integers(1, 6))
+    a = draw(int_matrix(draw(st.integers(n, n + 3)), n))
+    assume(oracle_det(la.matmul(la.transpose(a), a)) != 0)
+    return a
+
+
+class TestHnfCoordinates:
+    @given(full_column_rank(), st.data())
+    def test_recovers_integer_coordinates(self, a, data):
+        h = la.column_hnf(a)
+        x = data.draw(int_matrix(len(a[0]), data.draw(st.integers(1, 4)), bound=5))
+        assert la.hnf_coordinates(h, la.matmul(h, x)) == x
+
+
+class TestSolveFractionFree:
+    @given(full_column_rank(), st.data())
+    def test_square_matches_fraction_solution(self, a, data):
+        n = len(a[0])
+        a = a[:n] if oracle_det(a[:n]) else la.matmul(la.transpose(a), a)
+        b = data.draw(int_matrix(n, data.draw(st.integers(1, 4)), bound=5))
+        num, det = la.solve_fraction_free(a, b)
+        assert det != 0
+        assert la.matmul(a, num) == la.scale(det, b)
+        # the solution is unique, so x = num / det is the Cramer solution
+        d = oracle_det(a)
+        for j in range(len(b[0])):
+            for i in range(n):
+                swapped = [list(row) for row in a]
+                for r in range(n):
+                    swapped[r][i] = b[r][j]
+                assert Fraction(num[i][j], det) == Fraction(oracle_det(swapped), d)
+
+    @given(full_column_rank(), st.data())
+    def test_consistent_rectangular_system(self, a, data):
+        x = data.draw(int_matrix(len(a[0]), 2, bound=5))
+        num, det = la.solve_fraction_free(a, la.matmul(a, x))
+        assert la.scale(det, x) == num
+
+    def test_rank_deficient_is_value_error(self):
+        with pytest.raises(ValueError, match="rank"):
+            la.solve_fraction_free(((1, 2), (2, 4)), ((1,), (2,)))
+
+    def test_inconsistent_is_value_error(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            la.solve_fraction_free(((1,), (1,)), ((1,), (2,)))
