@@ -1,7 +1,12 @@
-"""Exact integer matrix helpers.
+"""Exact integer matrix helpers: the one home of each integer-matrix
+algorithm and encoding in the package.
 
 Matrices are immutable tuples of row tuples of plain Python ints (arbitrary
-precision).  Rational solutions come back fraction-free, as an integer
+precision).  A permutation matrix is encoded by its images: column i has its
+1 in row images[i] (`permutation_matrix`, `permutation_images`).  One gcd
+column elimination (`_echelon`) computes both the integer kernel and the
+column Hermite normal form.  Fraction-free Bareiss passes give the leading
+principal minors and the rational solutions, which come back as an integer
 numerator matrix over one common denominator.  Everything here is exact; no
 floating point appears anywhere in the package.
 """
@@ -77,6 +82,15 @@ def permutation_images(a) -> tuple[int, ...]:
     return tuple(col.index(1) for col in zip(*a))
 
 
+def permutation_matrix(images) -> IntMatrix:
+    """The permutation matrix whose column i has its 1 in row images[i]."""
+    n = len(images)
+    mat = [[0] * n for _ in range(n)]
+    for i, img in enumerate(images):
+        mat[img][i] = 1
+    return freeze(mat)
+
+
 def permutation_order(images) -> int:
     """Order of the permutation i -> images[i]: the lcm of its cycle lengths."""
     order, seen = 1, set()
@@ -87,11 +101,6 @@ def permutation_order(images) -> int:
             i, length = images[i], length + 1
         order = math.lcm(order, length or 1)
     return order
-
-
-def matrix_power_order(a) -> int:
-    """Order of a permutation matrix; ValueError for any other matrix."""
-    return permutation_order(permutation_images(a))
 
 
 def preserves_form(images, g) -> bool:
@@ -126,60 +135,22 @@ def leading_principal_minors(a) -> list[int]:
     return minors
 
 
-def kernel_basis(a) -> IntMatrix:
-    """Z-basis of the integer kernel {v : a @ v = 0}, as columns of a matrix.
+def _echelon(cols: list[list[int]], rows: int) -> list[int]:
+    """Column echelon form of the first `rows` rows by gcd elimination, in
+    place; returns the pivot row of each of the first r = rank columns.
 
-    The returned lattice is automatically saturated in Z^n.  Computed by
-    integer column reduction of `a` while tracking the unimodular column
-    transform.
+    Row by row, the columns from r on are reduced by integer division until
+    one nonzero entry is left in that row, which becomes the pivot of column
+    r.  Only unimodular column operations are used, so the columns keep their
+    lattice, and the columns past r end up zero in the first `rows` rows.
+    Columns from r on are zero above the current row, so each update starts
+    there.
     """
-    m, n = shape(a)
-    cols = [[a[i][j] for i in range(m)] for j in range(n)]
-    w = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # w[j] = col j
+    n = len(cols)
     lead = 0
-    for row in range(m):
-        # gcd-eliminate entries of this row across columns lead..n-1
-        while True:
-            piv = None
-            for j in range(lead, n):
-                if cols[j][row] != 0 and (
-                    piv is None or abs(cols[j][row]) < abs(cols[piv][row])
-                ):
-                    piv = j
-            if piv is None:
-                break
-            cols[lead], cols[piv] = cols[piv], cols[lead]
-            w[lead], w[piv] = w[piv], w[lead]
-            done = True
-            for j in range(lead + 1, n):
-                if cols[j][row] != 0:
-                    q = cols[j][row] // cols[lead][row]
-                    for i in range(m):
-                        cols[j][i] -= q * cols[lead][i]
-                    for i in range(n):
-                        w[j][i] -= q * w[lead][i]
-                    if cols[j][row] != 0:
-                        done = False
-            if done:
-                lead += 1
-                break
-    kernel_cols = [w[j] for j in range(lead, n)]
-    return tuple(tuple(col[i] for col in kernel_cols) for i in range(n))
-
-
-def column_hnf(a) -> IntMatrix:
-    """Column-style Hermite normal form of a full-column-rank integer matrix.
-
-    Pivots appear in increasing row order, one per column, are positive, and
-    entries in a pivot row to the left of the pivot are reduced into
-    [0, pivot).  This is the frozen canonical basis used for saturations.
-    """
-    m, n = shape(a)
-    cols = [[a[i][j] for i in range(m)] for j in range(n)]
-    lead = 0
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    for row in range(m):
-        if lead >= n:
+    pivots = []
+    for row in range(rows):
+        if lead == n:
             break
         while True:
             piv = None
@@ -191,28 +162,62 @@ def column_hnf(a) -> IntMatrix:
             if piv is None:
                 break
             cols[lead], cols[piv] = cols[piv], cols[lead]
+            tail = cols[lead][row:]
+            p = tail[0]
             done = True
             for j in range(lead + 1, n):
-                if cols[j][row] != 0:
-                    q = cols[j][row] // cols[lead][row]
-                    for i in range(m):
-                        cols[j][i] -= q * cols[lead][i]
-                    if cols[j][row] != 0:
+                col = cols[j]
+                if col[row] != 0:
+                    q = col[row] // p
+                    col[row:] = [x - q * y for x, y in zip(col[row:], tail)]
+                    if col[row] != 0:
                         done = False
             if done:
-                if cols[lead][row] < 0:
-                    cols[lead] = [-x for x in cols[lead]]
-                for j in range(lead):
-                    q = cols[j][row] // cols[lead][row]
-                    if q:
-                        for i in range(m):
-                            cols[j][i] -= q * cols[lead][i]
-                pivots.append((row, lead))
+                pivots.append(row)
                 lead += 1
                 break
-    if lead != n:
+    return pivots
+
+
+def kernel_basis(a) -> IntMatrix:
+    """Z-basis of the integer kernel {v : a @ v = 0}, as columns of a matrix.
+
+    The returned lattice is automatically saturated in Z^n.  Each column of
+    `a` is stacked over the matching identity column and the rows of `a` are
+    eliminated; the identity parts past the rank are the kernel basis.
+    """
+    m, n = shape(a)
+    cols = []
+    for j in range(n):
+        col = [row[j] for row in a] + [0] * n
+        col[m + j] = 1
+        cols.append(col)
+    kernel = cols[len(_echelon(cols, m)):]
+    return tuple(tuple(col[m + i] for col in kernel) for i in range(n))
+
+
+def column_hnf(a) -> IntMatrix:
+    """Column-style Hermite normal form of a full-column-rank integer matrix.
+
+    Pivots appear in increasing row order, one per column, are positive, and
+    entries in a pivot row to the left of the pivot are reduced into
+    [0, pivot).  This is the frozen canonical basis used for saturations.
+    """
+    m, n = shape(a)
+    cols = [[row[j] for row in a] for j in range(n)]
+    pivots = _echelon(cols, m)
+    if len(pivots) != n:
         raise ValueError("column_hnf requires full column rank")
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(m))
+    for k, row in enumerate(pivots):
+        col = cols[k]
+        if col[row] < 0:
+            cols[k] = col = [-x for x in col]
+        tail = col[row:]
+        for j in range(k):
+            q = cols[j][row] // tail[0]
+            if q:
+                cols[j][row:] = [x - q * y for x, y in zip(cols[j][row:], tail)]
+    return tuple(tuple(col[i] for col in cols) for i in range(m))
 
 
 def hnf_coordinates(h, b) -> IntMatrix:

@@ -68,6 +68,8 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply")
 
 
 def _matrix_rows(mat) -> list[list[int]]:
@@ -238,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=int(os.environ.get("GO_BUDGET", DEFAULT_BUDGET)),
-            help="search node budget (env GO_BUDGET)",
+            default=DEFAULT_BUDGET,
+            help=f"search node budget (default {DEFAULT_BUDGET})",
         )
         p.add_argument("--format", choices=["json", "text"], default="text")
 

@@ -101,11 +101,7 @@ def induced_action_matrix(d: CheckerboardDiagram, a: RegionAction) -> la.IntMatr
             "the region action must fix region 0; re-label the regions so the "
             "deleted region is fixed by the symmetry"
         )
-    n = d.region_count - 1
-    m = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        m[a.permutation[i] - 1][i - 1] = 1
-    return la.freeze(m)
+    return la.permutation_matrix([p - 1 for p in a.permutation[1:]])
 
 
 @dataclass(frozen=True)

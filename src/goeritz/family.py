@@ -100,12 +100,7 @@ def action_fn(n: int) -> la.IntMatrix:
     if n < 2:
         raise ValueError("the rotation action needs at least 2 summands")
     size = 2 * n
-    mat = [[0] * size for _ in range(size)]
-    for k in range(1, size - 1):  # f(X_k) = X_{k+2} for k <= 2n-2
-        mat[k + 1][k - 1] = 1
-    mat[0][size - 2] = 1  # f(X_{2n-1}) = X_1
-    mat[1][size - 1] = 1  # f(X_{2n}) = X_2
-    return la.freeze(mat)
+    return la.permutation_matrix([(k + 2) % size for k in range(size)])
 
 
 def diagram_Kn(n: int) -> CheckerboardDiagram:

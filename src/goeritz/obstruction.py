@@ -293,8 +293,7 @@ def parse_action(value, n: int) -> la.IntMatrix:
     la.require_ints(value, "action entries")
     if sorted(value) != list(range(n)):
         raise ValueError("action permutation list is not a permutation")
-    # column i has its 1 in row value[i]
-    return la.freeze([[int(img == r) for img in value] for r in range(n)])
+    return la.permutation_matrix(value)
 
 
 def certificate_from_json(obj: dict) -> KnotCertificate:

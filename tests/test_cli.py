@@ -7,7 +7,7 @@ import pytest
 
 import goeritz
 from goeritz import family
-from goeritz.cli import main
+from goeritz.cli import DEFAULT_BUDGET, build_parser, main
 
 
 def run(capsys, *argv):
@@ -291,3 +291,26 @@ class TestFamilyVerb:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == ""
         assert proc.returncode == 1
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("value", ["abc", "10"])
+    def test_go_budget_is_not_read(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GO_BUDGET", value)
+        code, _, _ = run(capsys, "family", "--preset", "k_n:2")
+        assert code == 0
+        args = build_parser().parse_args(["embed", "--preset", "12a1019"])
+        assert args.budget == DEFAULT_BUDGET
+        # a budget of 10 nodes would exit 2 here
+        code, out, _ = run(capsys, "embed", "--preset", "12a1019")
+        assert code == 0
+        assert out.startswith("2 canonical embedding class(es)")
+
+    @pytest.mark.parametrize("verb", ["goeritz", "embed", "obstruct"])
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path, verb):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, verb, "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")

@@ -201,7 +201,7 @@ class TestIsIsometry:
     def test_kn_rotation(self):
         for n in (2, 3, 4, 5, 6):
             assert is_isometry(family.action_fn(n), family.goeritz_Gn(n))
-            assert la.matrix_power_order(family.action_fn(n)) == n
+            assert la.permutation_order(la.permutation_images(family.action_fn(n))) == n
 
 
 class TestSpanRestriction:

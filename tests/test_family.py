@@ -41,7 +41,7 @@ class TestActionFn:
     def test_order_and_isometry(self):
         for n in range(2, 7):
             f = family.action_fn(n)
-            assert la.matrix_power_order(f) == n
+            assert la.permutation_order(la.permutation_images(f)) == n
             g = family.goeritz_Gn(n).matrix
             assert la.matmul(la.transpose(f), la.matmul(g, f)) == g
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,14 +31,6 @@ def oracle_det(a) -> int:
 
 def oracle_minors(a) -> list[int]:
     return [oracle_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
-
-
-def permutation_matrix(images):
-    n = len(images)
-    mat = [[0] * n for _ in range(n)]
-    for i, img in enumerate(images):
-        mat[img][i] = 1
-    return la.freeze(mat)
 
 
 @st.composite
@@ -91,11 +85,11 @@ class TestIsDefinite:
 class TestPermutationOrder:
     @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
     def test_matches_repeated_matmul(self, images):
-        f = permutation_matrix(images)
+        f = la.permutation_matrix(images)
         power, k = f, 1
         while power != la.identity(len(images)):
             power, k = la.matmul(power, f), k + 1
-        assert la.matrix_power_order(f) == k
+        assert la.permutation_order(la.permutation_images(f)) == k
         assert la.permutation_order(images) == k
         assert la.permutation_images(f) == tuple(images)
 
@@ -106,7 +100,8 @@ class TestPermutationOrder:
             images += [start + (i + 1) % length for i in range(length)]
             start += length
         assert la.permutation_order(images) == 7 * 11 * 13 * 17 == 17_017
-        assert la.matrix_power_order(permutation_matrix(images)) == 17_017
+        f = la.permutation_matrix(images)
+        assert la.permutation_order(la.permutation_images(f)) == 17_017
 
     @pytest.mark.parametrize(
         "a",
@@ -119,7 +114,7 @@ class TestPermutationOrder:
     )
     def test_rejects_non_permutation_matrix(self, a):
         with pytest.raises(ValueError):
-            la.matrix_power_order(a)
+            la.permutation_order(la.permutation_images(a))
 
 
 class TestPreservesForm:
@@ -131,7 +126,7 @@ class TestPreservesForm:
     def test_matches_matrix_isometry(self, images, data, invariant):
         n = len(images)
         g = data.draw(symmetric_matrix(n))
-        f = permutation_matrix(images)
+        f = la.permutation_matrix(images)
         if invariant:
             # sum over the cyclic group generated by f, so f^T g f == g
             total, power = la.zeros(n, n), la.identity(n)
@@ -206,3 +201,120 @@ class TestSolveFractionFree:
     def test_inconsistent_is_value_error(self):
         with pytest.raises(ValueError, match="inconsistent"):
             la.solve_fraction_free(((1,), (1,)), ((1,), (2,)))
+
+
+def oracle_rank(a) -> int:
+    """Rank over the rationals by Fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    for k in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][k] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][k] / m[rank][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def any_rank(draw):
+    """An m x n integer matrix b @ c of rank at most r, for random r."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(m, n)))
+    if r == 0:
+        return la.zeros(m, n)
+    return la.matmul(draw(int_matrix(m, r)), draw(int_matrix(r, n)))
+
+
+def matrices():
+    """Integer matrices of every rank: random ones (mostly of full rank) and
+    low-rank products."""
+    dims = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    return st.one_of(any_rank(), dims.flatmap(lambda d: int_matrix(*d)))
+
+
+class TestKernelBasis:
+    @given(matrices())
+    @example(((0, 0), (0, 0)))
+    @example(((1, 0), (0, 1)))
+    def test_saturated_kernel_of_full_dimension(self, a):
+        n = len(a[0])
+        k = la.kernel_basis(a)
+        assert la.shape(k) == (n, n - oracle_rank(a))
+        assert all(not any(row) for row in la.matmul(a, k))
+        cols = len(k[0])
+        if cols:
+            assert oracle_rank(k) == cols
+            # saturated iff the maximal minors are coprime
+            minors = [oracle_det([k[i] for i in rows])
+                      for rows in itertools.combinations(range(n), cols)]
+            assert math.gcd(*minors) == 1
+
+    @pytest.mark.parametrize(
+        "a, want",
+        [
+            (((1, 2, 3), (4, 5, 6)), ((1,), (-2,), (1,))),
+            (((2, 4, 6), (1, 2, 3)), ((-2, -3), (1, 0), (0, 1))),
+            (((0, 0), (0, 0)), ((1, 0), (0, 1))),
+            (((1, 0), (0, 1)), ((), ())),
+            (((6, 10, 15),), ((-5, 5), (-3, 0), (4, -2))),
+            # floor division: truncating quotients give another basis here
+            (((1, 4, -5), (2, -5, -3)), ((-37,), (-7,), (-13,))),
+            (
+                ((0, 3, -6, 9), (0, 2, -4, 6), (1, 1, 1, 1)),
+                ((-3, 2), (2, -3), (1, 0), (0, 1)),
+            ),
+        ],
+    )
+    def test_fixed_outputs(self, a, want):
+        assert la.kernel_basis(a) == want
+
+
+class TestColumnHnf:
+    @given(full_column_rank())
+    def test_hermite_shape_and_same_lattice(self, a):
+        h = la.column_hnf(a)
+        assert la.shape(h) == la.shape(a)
+        pivots = [next(i for i, x in enumerate(col) if x) for col in zip(*h)]
+        assert pivots == sorted(set(pivots))  # strictly increasing
+        for j, p in enumerate(pivots):
+            assert h[p][j] > 0
+            assert all(0 <= h[p][t] < h[p][j] for t in range(j))
+        # each basis is an integer combination of the other
+        for x, y in ((a, h), (h, a)):
+            num, det = la.solve_fraction_free(x, y)
+            assert all(v % det == 0 for row in num for v in row)
+
+    @pytest.mark.parametrize(
+        "a, want",
+        [
+            (((2, 0), (1, 3), (4, 5)), ((2, 0), (1, 3), (4, 5))),
+            (((6, 4), (9, 6), (1, 1)), ((2, 0), (3, 0), (0, 1))),
+            (((0, 0), (-3, 5), (7, 2)), ((0, 0), (1, 0), (25, 41))),
+            (((4,), (-6,)), ((4,), (-6,))),
+            (
+                ((1, 2, 3), (4, 5, 6), (7, 8, 10)),
+                ((1, 0, 0), (1, 3, 0), (0, 0, 1)),
+            ),
+        ],
+    )
+    def test_fixed_outputs(self, a, want):
+        assert la.column_hnf(a) == want
+
+    @pytest.mark.parametrize("a", [((1, 2), (2, 4)), ((0,),), ((1, 0, 2),)])
+    def test_rank_deficient_is_value_error(self, a):
+        with pytest.raises(ValueError, match="full column rank"):
+            la.column_hnf(a)
+
+
+class TestPermutationMatrix:
+    @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+    def test_round_trip(self, images):
+        f = la.permutation_matrix(images)
+        assert la.is_permutation_matrix(f)
+        assert all(f[img][i] == 1 for i, img in enumerate(images))
+        assert la.permutation_images(f) == tuple(images)
+        assert la.permutation_matrix(la.permutation_images(f)) == f
