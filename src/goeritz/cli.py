@@ -8,7 +8,8 @@ Verbs:
   family       print the built-in K_n / 12a1019 fixtures
 
 Inputs come from --input FILE (JSON) or --preset NAME (k_n:3, 12a1019).
-Exit status: 0 conclusive, 1 input error, 2 inconclusive (budget exhausted).
+Exit status: 0 conclusive, 1 input or usage error, 2 inconclusive (budget
+exhausted).
 
 JSON schemas:
   diagram      {"regions": n+1, "crossings": [[i, j, eta], ...], "label": "..."}
@@ -42,10 +43,6 @@ from .obstruction import (
 DEFAULT_BUDGET = 10**8
 
 
-class InputError(Exception):
-    pass
-
-
 def _parse_preset(name: str) -> KnotCertificate:
     if name == "12a1019":
         return family.fixture_12a1019()
@@ -53,11 +50,11 @@ def _parse_preset(name: str) -> KnotCertificate:
         try:
             n = int(name.split(":", 1)[1])
         except ValueError:
-            raise InputError(f"bad preset {name!r}: expected k_n:<integer>")
+            raise ValueError(f"bad preset {name!r}: expected k_n:<integer>")
         if n < 2:
-            raise InputError("k_n preset needs n >= 2")
+            raise ValueError("k_n preset needs n >= 2")
         return family.make_certificate_Kn(n)
-    raise InputError(f"unknown preset {name!r} (try k_n:3 or 12a1019)")
+    raise ValueError(f"unknown preset {name!r} (try k_n:3 or 12a1019)")
 
 
 def _load_json(path: str) -> dict:
@@ -65,11 +62,11 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
     except RecursionError:
-        raise InputError(f"{path}: invalid JSON: nested too deeply")
+        raise ValueError(f"{path}: invalid JSON: nested too deeply")
 
 
 def _matrix_rows(mat) -> list[list[int]]:
@@ -111,7 +108,7 @@ def _resolve_form(args) -> tuple[GramLattice, la.IntMatrix | None]:
     try:
         lat = GramLattice(la.freeze(obj["matrix"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad form input: {exc}")
+        raise ValueError(f"bad form input: {exc}")
     action = None
     if "action" in obj:
         action = parse_action(obj["action"], lat.rank)
@@ -157,7 +154,7 @@ def cmd_embed(args) -> int:
 def cmd_equivariant(args) -> int:
     lat, action = _resolve_form(args)
     if action is None:
-        raise InputError("equivariant needs an action (preset or \"action\" key)")
+        raise ValueError("equivariant needs an action (preset or \"action\" key)")
     sign = -1 if args.sign == "-" else 1
     classes = enumerate_embeddings(lat, args.corank, sign, max_nodes=args.budget)
     verdicts = [find_equivariant_witness(e, action) for e in classes]
@@ -196,7 +193,7 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_family(args) -> int:
-    cert = _parse_preset(args.preset or "k_n:2")
+    cert = _parse_preset(args.preset)
     payload = {
         "name": cert.name,
         "goeritz_minus": _matrix_rows(cert.goeritz_minus.matrix),
@@ -223,20 +220,26 @@ def cmd_family(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error status: 2 means inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="goeritz",
         description="Equivariant non-orientable 4-genus obstructions "
         "from Goeritz forms and definite lattice embeddings.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, corank_default=1):
+    def common(p):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", metavar="FILE", help="JSON input file")
         src.add_argument("--preset", help="built-in fixture (k_n:3, 12a1019)")
-        p.add_argument("--corank", type=int, default=corank_default)
-        p.add_argument("--sign", choices=["+", "-"], default="-")
         p.add_argument(
             "--budget",
             type=int,
@@ -245,6 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=["json", "text"], default="text")
 
+    def target(p):  # the target lattice (Z^{n+corank}, sign * Id)
+        p.add_argument("--corank", type=int, default=1)
+        p.add_argument("--sign", choices=["+", "-"], default="-")
+
     p = sub.add_parser("goeritz", help="pre-Goeritz and Goeritz matrices")
     p.add_argument("--input", metavar="FILE", required=True)
     p.add_argument("--format", choices=["json", "text"], default="text")
@@ -252,10 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="canonical embedding classes")
     common(p)
+    target(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("equivariant", help="equivariance verdict per class")
     common(p)
+    target(p)
     p.set_defaults(func=cmd_equivariant)
 
     p = sub.add_parser("obstruct", help="full obstruction report")
@@ -271,21 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verb in ("embed", "equivariant", "obstruct"):
-        if args.corank < 0:
-            print("error: corank must be >= 0", file=sys.stderr)
-            return 1
-        if args.budget <= 0:
-            print("error: budget must be positive", file=sys.stderr)
-            return 1
+    args = build_parser().parse_args(argv)
+    if args.verb in ("embed", "equivariant", "obstruct") and args.budget <= 0:
+        print("error: budget must be positive", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except SearchIncomplete as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: sizes past 2**63
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

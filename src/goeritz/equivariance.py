@@ -46,13 +46,15 @@ class SpanTestResult:
     The induced map is expressed in the frozen saturation basis (column
     Hermite form of the saturation of the image lattice), so certificates are
     reproducible.  certificate lists every non-integral entry as
-    (row, col, value).
+    (row, col, value); the test passes iff there is none.
     """
 
-    passed: bool
     induced_map: tuple[tuple[Fraction, ...], ...]
     certificate: tuple[tuple[int, int, Fraction], ...] = ()
-    reason: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return not self.certificate
 
 
 def saturation_basis(phi: la.IntMatrix) -> la.IntMatrix:
@@ -102,9 +104,7 @@ def span_restriction_test(phi: LatticeEmbedding, f: la.IntMatrix) -> SpanTestRes
         for j, x in enumerate(row)
         if x.denominator != 1
     )
-    if certificate:
-        return SpanTestResult(False, induced, certificate, "induced map not integral")
-    return SpanTestResult(True, induced)
+    return SpanTestResult(induced, certificate)
 
 
 @dataclass(frozen=True)

@@ -34,16 +34,11 @@ class SearchIncomplete(Exception):
         self.nodes = nodes
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"X_{i}" for i in range(1, n + 1))
-
-
 @dataclass(frozen=True)
 class GramLattice:
-    """A symmetric integer matrix with a labeled basis."""
+    """A symmetric integer matrix: the Gram form of a lattice basis."""
 
     matrix: la.IntMatrix
-    basis_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", la.freeze(self.matrix))
@@ -52,17 +47,13 @@ class GramLattice:
         square = n and all(len(row) == n for row in self.matrix)
         if not square or not la.is_symmetric(self.matrix):
             raise ValueError("Gram matrix must be square and symmetric")
-        if self.basis_labels is None:
-            object.__setattr__(self, "basis_labels", _default_labels(self.rank))
-        elif len(self.basis_labels) != self.rank:
-            raise ValueError("basis label count does not match rank")
 
     @property
     def rank(self) -> int:
         return len(self.matrix)
 
     def negated(self) -> "GramLattice":
-        return GramLattice(la.neg(self.matrix), self.basis_labels)
+        return GramLattice(la.neg(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -251,7 +242,9 @@ def enumerate_embeddings(
 
     The columns are kept on an explicit stack; only the filling of a single
     column recurses, at most m + 2 frames deep.  Every call of that filling
-    counts as one node.
+    counts as one node, and a call that scans the 2 * isqrt(rem) + 1 values
+    of a used coordinate counts each of them as one more, so max_nodes
+    bounds the work, however large the norms.
 
     Raises SearchIncomplete when max_nodes is exceeded; returns () when the
     form is not sign-definite.
@@ -271,9 +264,9 @@ def enumerate_embeddings(
     q = [[p[a][b] for b in order] for a in order]  # p in search order
     nodes = 0
 
-    def tick():
+    def tick(count: int = 1):
         nonlocal nodes
-        nodes += 1
+        nodes += count
         if max_nodes is not None and nodes > max_nodes:
             raise SearchIncomplete(nodes)
 
@@ -290,12 +283,13 @@ def enumerate_embeddings(
         vec = [0] * m
 
         def fill_used(t: int, rem: int, ips: list[int]):
-            tick()
             if t == used:
-                if ips == targets:
-                    fill_fresh(t, rem, norm_j + 1)
+                tick()
+                # ips == targets: suffix[i][used] == 0 forced each gap to 0
+                fill_fresh(t, rem, norm_j + 1)
                 return
             bound = math.isqrt(rem)
+            tick(2 * bound + 2)  # this call and the values it scans
             for v in range(-bound, bound + 1):
                 rem2 = rem - v * v
                 ok = True

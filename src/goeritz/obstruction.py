@@ -265,9 +265,9 @@ def gamma4p_lower_bound(
     mobius = obstruct_equivariant_mobius(cert, max_nodes=max_nodes)
     klein = obstruct_equivariant_klein(cert, max_nodes=max_nodes)
     bound = 1
-    if mobius.certifying and mobius.obstructed:
+    if mobius.obstructed:  # True only on a certifying, applicable verdict
         bound = 2
-        if klein.applicable and klein.certifying and klein.obstructed:
+        if klein.obstructed:
             bound = 3
     gap = cert.known_gamma4 is not None and cert.known_gamma4 < bound
     return ObstructionReport(
@@ -390,8 +390,6 @@ def report_to_text(report: ObstructionReport) -> str:
 def _cell(v: SurfaceVerdict) -> str:
     if not v.certifying:
         return "inconclusive (budget)"
-    if v.obstructed is None:
-        return "inapplicable"
     if v.obstructed:
         return "yes (vacuous)" if v.vacuous else "yes"
     return "no (witness found)"

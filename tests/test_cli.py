@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import goeritz
 from goeritz import family
@@ -20,6 +21,21 @@ def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def run_subprocess(*argv, timeout=60):
+    src = os.path.dirname(os.path.dirname(goeritz.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "goeritz.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=timeout,
+    )
+
+
+def usage_exit(*argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
 
 
 class TestGoeritzVerb:
@@ -110,6 +126,35 @@ class TestEmbedVerb:
     def test_invalid_corank(self, capsys):
         code, _, _ = run(capsys, "embed", "--preset", "12a1019", "--corank", "-1")
         assert code == 1
+
+    def test_negative_corank_message_comes_from_the_library(self, capsys):
+        code, out, err = run(capsys, "embed", "--preset", "k_n:2", "--corank", "-1")
+        assert (code, out, err) == (1, "", "error: corank must be non-negative\n")
+
+    @pytest.mark.parametrize("verb", ["embed", "equivariant"])
+    def test_sign_plus_uses_the_plus_form(self, capsys, verb):
+        _, minus, _ = run(capsys, verb, "--preset", "k_n:2", "--format", "json")
+        code, plus, _ = run(
+            capsys, verb, "--preset", "k_n:2", "--sign", "+", "--format", "json"
+        )
+        assert code == 0
+        if verb == "embed":
+            assert json.loads(plus)["target"] == {"rank": 5, "sign": 1}
+            assert json.loads(plus)["source"] == [
+                list(r) for r in family.make_certificate_Kn(2).goeritz_plus.matrix
+            ]
+        # K_2 has G_+ = -G_- and one action: the same classes on both sides
+        assert json.loads(plus)["classes"] == json.loads(minus)["classes"]
+
+    def test_huge_norm_exits_2_at_once(self, tmp_path):
+        # 10**15 values to scan in one coordinate: the budget must stop it
+        path = write_json(tmp_path, "f.json", {"matrix": [[-4, 0], [0, -(10**30)]]})
+        proc = run_subprocess(
+            "embed", "--input", path, "--corank", "0", "--budget", "10", timeout=30
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("inconclusive: search budget exhausted")
 
     def test_byte_deterministic(self, capsys):
         outs = set()
@@ -260,6 +305,11 @@ class TestObstructVerb:
         assert code == 1
         assert "unknown preset" in err
 
+    @pytest.mark.parametrize("option", [["--corank", "7"], ["--sign", "+"]])
+    def test_has_no_target_options(self, capsys, option):
+        assert usage_exit("obstruct", "--preset", "k_n:2", *option) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestFamilyVerb:
     def test_kn_preset_json(self, capsys):
@@ -273,6 +323,10 @@ class TestFamilyVerb:
     def test_bad_kn_value(self, capsys):
         code, _, _ = run(capsys, "family", "--preset", "k_n:x")
         assert code == 1
+
+    def test_kn_below_2(self, capsys):
+        code, out, err = run(capsys, "family", "--preset", "k_n:1")
+        assert (code, out, err) == (1, "", "error: k_n preset needs n >= 2\n")
 
     def test_closed_pipe_exits_quietly(self):
         # the reader has closed the pipe before the first write
@@ -314,3 +368,188 @@ class TestInputBoundary:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
+
+
+class TestUsageErrors:
+    """Usage errors exit 1, the input-error status; 2 means inconclusive."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obstruct", "--preset", "k_n:2", "--budget", "abc"],
+            ["obstruct", "--preset", "k_n:2", "--bogus"],
+            ["obstruct"],
+            ["embed", "--preset", "k_n:2", "--input", "f.json"],
+            ["embed", "--preset", "k_n:2", "--sign", "0"],
+            ["nope"],
+            [],
+        ],
+    )
+    def test_exit_1(self, capsys, argv):
+        assert usage_exit(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: goeritz")
+        assert "error:" in err.splitlines()[-1]
+
+    def test_exit_1_in_a_subprocess(self):
+        proc = run_subprocess("obstruct", "--preset", "k_n:2", "--bogus")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["obstruct", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert usage_exit(*argv) == 0
+        assert capsys.readouterr().out.startswith("usage: goeritz")
+
+
+class TestHugeSizes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["embed", "--preset", "k_n:2", "--corank", str(10**20)],
+            ["family", "--preset", f"k_n:{10**20}"],
+        ],
+    )
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+
+# Random JSON at the input boundary: every value kind, ints past 64 bits.
+JSON_SCALARS = st.one_of(
+    st.integers(-6, 6),
+    st.sampled_from([10**30, -(10**30)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+ENTRIES = st.one_of(st.integers(-3, 3), JSON_SCALARS)
+SLACKS = st.one_of(st.integers(1, 4), st.just(10**30))
+
+
+def _definite(n, offdiag, slack):
+    """Symmetric, negative definite by a dominant diagonal that may be huge."""
+    g = [[offdiag(i, j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        g[i][i] = -(sum(abs(x) for j, x in enumerate(g[i]) if j != i) + slack(i))
+    return g
+
+
+@st.composite
+def matrices(draw):
+    """Matrices of size at most 6: mostly definite, else any entries or any
+    JSON value."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["definite"] * 3 + ["entries", "any"]))
+    if kind == "any":
+        return draw(JSON_VALUES)
+    if kind == "entries":
+        row = st.lists(ENTRIES, min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=n, max_size=n))
+    off = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            off[i][j] = off[j][i] = draw(st.integers(-2, 2))
+    slacks = [draw(SLACKS) for _ in range(n)]
+    return _definite(n, lambda i, j: off[i][j], slacks.__getitem__)
+
+
+@st.composite
+def periodic_forms(draw):
+    """(G, images, period): a definite circulant form of size 2 to 6 and the
+    cyclic shift, an isometry of order n."""
+    n = draw(st.integers(2, 6))
+    c = [draw(st.integers(-2, 2)) for _ in range(n)]
+    slack = draw(SLACKS)
+    g = _definite(n, lambda i, j: c[min((j - i) % n, (i - j) % n)], lambda i: slack)
+    return g, [(i + 1) % n for i in range(n)], n
+
+
+def actions(n):
+    return st.one_of(st.permutations(list(range(n))), JSON_VALUES)
+
+
+@st.composite
+def forms(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    if draw(st.booleans()):
+        g, images, _ = draw(periodic_forms())
+        return {"matrix": g, "action": images}
+    obj = {"matrix": draw(matrices())}
+    if draw(st.booleans()):
+        n = len(obj["matrix"]) if isinstance(obj["matrix"], list) else 1
+        obj["action"] = draw(actions(n))
+    return obj
+
+
+CERTIFICATE_KEYS = (
+    "name", "goeritz_minus", "goeritz_plus", "action_minus", "action_plus",
+    "period", "signature", "arf", "known_gamma4",
+)
+
+
+@st.composite
+def certificates(draw):
+    """A valid certificate of a periodic form with up to two fields replaced
+    by random values or deleted, or any JSON value."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(JSON_VALUES)
+    g, images, period = draw(periodic_forms())
+    obj = {
+        "goeritz_minus": g,
+        "goeritz_plus": [[-x for x in row] for row in g],
+        "action_minus": images,
+        "period": period,
+        "signature": draw(st.sampled_from([0, 2, 4, 6, -2])),
+        "arf": draw(st.integers(0, 1)),
+    }
+    for key in draw(st.sets(st.sampled_from(CERTIFICATE_KEYS), max_size=2)):
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(st.one_of(JSON_VALUES, matrices(), actions(len(g))))
+    return obj
+
+
+class TestRandomJson:
+    """No traceback and no exit status outside {0, 1, 2} on any JSON input."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        verb=st.sampled_from(["embed", "equivariant"]),
+        obj=forms(),
+        corank=st.integers(0, 2),
+    )
+    def test_forms(self, capsys, tmp_path, verb, obj, corank):
+        path = write_json(tmp_path, "f.json", obj)
+        code, _, err = run(
+            capsys, verb, "--input", path, "--corank", str(corank), "--budget", "1000"
+        )
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(obj=certificates())
+    def test_certificates(self, capsys, tmp_path, obj):
+        path = write_json(tmp_path, "cert.json", obj)
+        code, _, err = run(capsys, "obstruct", "--input", path, "--budget", "1000")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err

@@ -78,9 +78,6 @@ class TestGoeritz:
         for d in (SINGLE, FIG8, family.diagram_12a1019(), family.diagram_Kn(3)):
             assert is_definite(goeritz(d), -1)
 
-    def test_labels(self):
-        assert goeritz(FIG8).basis_labels == ("X_1", "X_2")
-
 
 class TestInducedAction:
     def test_12a1019_cycles(self):

@@ -84,15 +84,13 @@ def oracle_span_test(phi, f):
         for j, x in enumerate(row)
         if x.denominator != 1
     )
-    if certificate:
-        return SpanTestResult(False, induced, certificate, "induced map not integral")
-    m_int = tuple(tuple(int(x) for x in row) for row in induced)
-    form = la.scale(phi.target.sign, la.matmul(la.transpose(basis), basis))
-    if la.matmul(la.matmul(la.transpose(m_int), form), m_int) != form:
-        return SpanTestResult(
-            False, induced, (), "induced map is not an isometry of the saturation"
+    if not certificate:
+        m_int = tuple(tuple(int(x) for x in row) for row in induced)
+        form = la.scale(phi.target.sign, la.matmul(la.transpose(basis), basis))
+        assert la.matmul(la.matmul(la.transpose(m_int), form), m_int) == form, (
+            "induced map is not an isometry of the saturation"
         )
-    return SpanTestResult(True, induced)
+    return SpanTestResult(induced, certificate)
 
 
 def span_first_verdict(phi, f):

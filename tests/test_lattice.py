@@ -210,6 +210,17 @@ class TestEnumerate:
         with pytest.raises(SearchIncomplete):
             enumerate_embeddings(G_MINUS, 1, -1, max_nodes=10)
 
+    def test_negative_corank_rejected(self):
+        with pytest.raises(ValueError, match="corank must be non-negative"):
+            enumerate_embeddings(G_MINUS, -1, -1)
+
+    def test_node_count_includes_scanned_values(self):
+        # one per call of the column filling, plus the values each scan of a
+        # used coordinate tries: 12a1019 at corank 1 needs exactly 26,837
+        with pytest.raises(SearchIncomplete, match="after 26837 nodes"):
+            enumerate_embeddings(G_MINUS, 1, -1, max_nodes=26836)
+        assert len(enumerate_embeddings(G_MINUS, 1, -1, max_nodes=26837)) == 2
+
     def test_deep_form_has_no_recursion_error(self):
         # 45 columns: the column stack is explicit, only one column recurses
         lat = GramLattice(la.scale(-1, la.identity(45)))

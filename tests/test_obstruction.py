@@ -287,6 +287,15 @@ class TestCertificateJson:
         assert cert.action_plus == cert.action_minus
         assert cert.action_defaulted == "plus"
 
+    def test_plus_only_action_defaults_minus(self):
+        obj = self.payload()
+        del obj["action_minus"]
+        cert = certificate_from_json(obj)
+        assert cert.action_minus == cert.action_plus
+        assert cert.action_defaulted == "minus"
+        report = gamma4p_lower_bound(cert)
+        assert report_to_json(report)["action_defaulted"] == "minus"
+
     def test_image_list_action(self):
         obj = self.payload()
         obj["action_minus"] = [2, 3, 0, 1]  # X1<->X3, X2<->X4, 0-indexed images
