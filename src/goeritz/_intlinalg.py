@@ -31,10 +31,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(r: int, c: int) -> IntMatrix:
-    return tuple((0,) * c for _ in range(r))
-
-
 def transpose(a) -> IntMatrix:
     return tuple(zip(*a)) if a else ()
 

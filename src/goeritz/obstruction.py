@@ -79,6 +79,12 @@ class KnotCertificate:
     action_defaulted: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError("name must be a string")
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("name is not valid UTF-8") from None
         object.__setattr__(self, "action_minus", la.freeze(self.action_minus))
         object.__setattr__(self, "action_plus", la.freeze(self.action_plus))
         for attr in ("period", "signature", "arf"):

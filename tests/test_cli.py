@@ -273,6 +273,10 @@ class TestObstructVerb:
             ("signature", "0"),
             ("action_minus", [[x == 1 for x in r] for r in family.action_fn(2)]),
             ("known_gamma4", "one"),
+            # a name that is not UTF-8 text is refused before the search
+            ("name", "\ud800x"),
+            ("name", 5),
+            ("name", [1]),
         ],
     )
     def test_non_int_certificate_field_is_input_error(
@@ -299,6 +303,14 @@ class TestObstructVerb:
             capsys, "obstruct", "--preset", "k_n:2", "--budget", "10"
         )
         assert code == 2
+
+    def test_k4_needs_more_than_1000_nodes(self, capsys):
+        # K_4 at corank 1 takes 1,503 nodes
+        code, out, _ = run(
+            capsys, "obstruct", "--preset", "k_n:4", "--budget", "1000"
+        )
+        assert code == 2
+        assert "inconclusive (budget)" in out
 
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "obstruct", "--preset", "nope")

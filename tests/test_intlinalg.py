@@ -129,7 +129,7 @@ class TestPreservesForm:
         f = la.permutation_matrix(images)
         if invariant:
             # sum over the cyclic group generated by f, so f^T g f == g
-            total, power = la.zeros(n, n), la.identity(n)
+            total, power = ((0,) * n,) * n, la.identity(n)
             for _ in range(la.permutation_order(images)):
                 term = la.matmul(la.matmul(la.transpose(power), g), power)
                 total = tuple(
@@ -225,7 +225,7 @@ def any_rank(draw):
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     r = draw(st.integers(0, min(m, n)))
     if r == 0:
-        return la.zeros(m, n)
+        return ((0,) * n,) * m
     return la.matmul(draw(int_matrix(m, r)), draw(int_matrix(r, n)))
 
 

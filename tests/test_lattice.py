@@ -89,7 +89,7 @@ class TestGramOf:
         assert gram_of(psi3.matrix, psi3.target) == ((-3, 1), (1, -2))
 
     def test_zero(self):
-        assert gram_of(la.zeros(3, 2), StandardTarget(3, -1)) == la.zeros(2, 2)
+        assert gram_of(((0, 0),) * 3, StandardTarget(3, -1)) == ((0, 0),) * 2
 
     def test_phi1(self):
         assert gram_of(family.PHI1_12A1019, StandardTarget(7, -1)) == G_MINUS.matrix
@@ -215,11 +215,43 @@ class TestEnumerate:
             enumerate_embeddings(G_MINUS, -1, -1)
 
     def test_node_count_includes_scanned_values(self):
-        # one per call of the column filling, plus the values each scan of a
-        # used coordinate tries: 12a1019 at corank 1 needs exactly 26,837
-        with pytest.raises(SearchIncomplete, match="after 26837 nodes"):
-            enumerate_embeddings(G_MINUS, 1, -1, max_nodes=26836)
-        assert len(enumerate_embeddings(G_MINUS, 1, -1, max_nodes=26837)) == 2
+        # one per call of the column filling, plus one per value it scans:
+        # 12a1019 at corank 1 needs exactly 2,484
+        with pytest.raises(SearchIncomplete, match="after 2484 nodes"):
+            enumerate_embeddings(G_MINUS, 1, -1, max_nodes=2483)
+        assert len(enumerate_embeddings(G_MINUS, 1, -1, max_nodes=2484)) == 2
+
+    def test_budget_charges_scans_past_the_machine_word(self):
+        # 2 * 10**20 + 1 values to scan: counted, not sized with len()
+        lat = GramLattice(((-(10**40),),))
+        with pytest.raises(SearchIncomplete):
+            enumerate_embeddings(lat, 0, -1, max_nodes=10)
+
+    def test_rows_past_the_trace_are_zero(self):
+        # every nonzero row adds at least 1 to trace(-G_2) = 10, so corank
+        # 10**4 searches the 10 rows of corank 6 and pads with zero rows
+        lat = family.goeritz_Gn(2)
+        pad = ((0,) * 4,) * (10**4 - 6)
+        small = enumerate_embeddings(lat, 6, -1, max_nodes=168)
+        big = enumerate_embeddings(lat, 10**4, -1, max_nodes=168)
+        assert [e.matrix for e in big] == [e.matrix + pad for e in small]
+        for corank in (6, 10**4):
+            with pytest.raises(SearchIncomplete, match="after 168 nodes"):
+                enumerate_embeddings(lat, corank, -1, max_nodes=167)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lat=definite_forms(), corank=st.integers(0, 2))
+    def test_leaves_are_the_oracle_classes(self, lat, corank):
+        # no dedup after the search: the lex-leader rule alone makes the
+        # leaves pairwise inequivalent.  The oracle lists all 2^m m! matrices
+        # of each class, so m stays at most 5.
+        assume(lat.rank + corank <= 5)
+        classes = enumerate_embeddings(lat, corank, -1)
+        assert [e.matrix for e in classes] == [
+            e.matrix for e in brute_force_embeddings(lat, corank, -1)
+        ]
+        for a, b in itertools.combinations(classes, 2):
+            assert embeddings_equivalent(a, b) is None
 
     def test_deep_form_has_no_recursion_error(self):
         # 45 columns: the column stack is explicit, only one column recurses

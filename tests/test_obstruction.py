@@ -172,6 +172,13 @@ class TestGamma4pLowerBound:
         assert rep.gap_detected
         assert rep.mobius.vacuous
 
+    def test_kn_bound_table(self):
+        bounds = [
+            gamma4p_lower_bound(family.make_certificate_Kn(n)).gamma4p_lower_bound
+            for n in range(2, 8)
+        ]
+        assert bounds == [2, 3, 2, 3, 2, 3]
+
     def test_12a1019_bound_1_no_gap(self):
         rep = gamma4p_lower_bound(family.fixture_12a1019())
         assert rep.gamma4p_lower_bound == 1
@@ -301,6 +308,13 @@ class TestCertificateJson:
         obj["action_minus"] = [2, 3, 0, 1]  # X1<->X3, X2<->X4, 0-indexed images
         obj["action_plus"] = [2, 3, 0, 1]
         assert certificate_from_json(obj) == family.make_certificate_Kn(2)
+
+    @pytest.mark.parametrize("name", ["\ud800x", 5, [1]])
+    def test_name_must_be_utf8_text(self, name):
+        obj = self.payload()
+        obj["name"] = name
+        with pytest.raises(ValueError, match="name"):
+            certificate_from_json(obj)
 
     def test_missing_both_actions_rejected(self):
         obj = self.payload()
