@@ -29,6 +29,7 @@ from .lattice import (
     enumerate_embeddings,
     gram_of,
     is_definite,
+    iter_embeddings,
 )
 from .obstruction import (
     CoverSign,

@@ -41,6 +41,8 @@ from .obstruction import (
 )
 
 DEFAULT_BUDGET = 10**8
+# Every class carries all n + corank rows; 10**6 still fits in memory.
+MAX_CORANK = 10**6
 
 
 def _parse_preset(name: str) -> KnotCertificate:
@@ -211,11 +213,12 @@ def cmd_family(args) -> int:
     ]
     if cert.name.startswith("K_"):
         n = cert.period
-        embeddings = family.family_embeddings(n)
-        payload["closed_form_embeddings"] = [
-            _matrix_rows(e.matrix) for e in embeddings
-        ]
-        text.append(f"{len(embeddings)} closed-form embedding(s)")
+        # one psi_1 or psi_2 block per pair of summands (family_embeddings)
+        text.append(f"{2 ** (n // 2)} closed-form embedding(s)")
+        if args.format == "json":
+            payload["closed_form_embeddings"] = [
+                _matrix_rows(e.matrix) for e in family.family_embeddings(n)
+            ]
     _emit(args, payload, "\n".join(text))
     return 0
 
@@ -283,6 +286,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb in ("embed", "equivariant", "obstruct") and args.budget <= 0:
         print("error: budget must be positive", file=sys.stderr)
+        return 1
+    if args.verb in ("embed", "equivariant") and args.corank > MAX_CORANK:
+        print(f"error: corank must be at most {MAX_CORANK}", file=sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -140,7 +140,9 @@ def diagram_from_json(obj: dict) -> CheckerboardDiagram:
     """Parse {"regions": n+1, "crossings": [[i,j,eta],...], "label": ...}.
 
     The region count and every crossing entry must be exactly an int: a
-    float, string or bool is rejected, never truncated or coerced.
+    float, string or bool is rejected, never truncated or coerced.  A
+    region count above twice the number of crossings is rejected: some
+    white region would touch no crossing.
     """
     try:
         regions = obj["regions"]
@@ -148,4 +150,10 @@ def diagram_from_json(obj: dict) -> CheckerboardDiagram:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
     la.require_ints([regions] + [x for c in crossings for x in c], "diagram entries")
+    # checked before any matrix is sized: each crossing touches two regions
+    if regions > 2 * len(crossings):
+        raise ValueError(
+            f"{regions} regions but {len(crossings)} crossing(s): "
+            "some white region touches no crossing"
+        )
     return CheckerboardDiagram(regions, crossings, obj.get("label"))

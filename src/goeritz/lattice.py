@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _intlinalg as la
@@ -222,14 +223,14 @@ def _column_order(p: la.IntMatrix) -> list[int]:
     return order
 
 
-def enumerate_embeddings(
+def iter_embeddings(
     lat: GramLattice,
     corank: int,
     sign: int,
     max_nodes: int | None = None,
-) -> tuple[LatticeEmbedding, ...]:
-    """All embeddings of (Z^n, G) into (Z^{n+corank}, sign*Id), up to signed
-    permutation of the target.
+) -> Iterator[LatticeEmbedding]:
+    """Each embedding class of (Z^n, G) into (Z^{n+corank}, sign*Id), up to
+    signed permutation of the target, once, in search order.
 
     Column-by-column backtracking, in the most-constrained-first order of
     _column_order, that builds one matrix per class: its lex-leader, whose
@@ -243,23 +244,25 @@ def enumerate_embeddings(
     zero rows are) takes a value <= row t-1's; every value is pruned by
     Cauchy-Schwarz against the suffix norms of the placed columns.  Each
     nonzero row adds at least 1 to trace(sign * G), so only min(m, trace)
-    rows are searched; the rest are zero rows added to each class.  Classes
-    are put back in domain basis order and canonicalized, and the result is
-    sorted, so it does not depend on the search order.
+    rows are searched; the rest are zero rows added to each class.  Each
+    leaf is put back in domain basis order, canonicalized and yielded as it
+    is found, so the order of the stream depends on the search order; no
+    class list is kept.
 
     The columns are kept on an explicit stack; only the filling of a single
     column recurses, at most m + 2 frames deep.  Every call of that filling
     counts as one node and every value it scans as one more, so max_nodes
-    bounds the work, however large the norms.  12a1019 at corank 1 takes
-    2,484 nodes, K_4 at corank 1 1,503 and K_5 at corank 2 11,689.
+    bounds the work, however large the norms.  The whole search takes 2,484
+    nodes for 12a1019 at corank 1, 1,503 for K_4 at corank 1 and 11,689 for
+    K_5 at corank 2; the first 12a1019 class is yielded within 884.
 
-    Raises SearchIncomplete when max_nodes is exceeded; returns () when the
-    form is not sign-definite.
+    Raises SearchIncomplete when the consumer asks for a class past
+    max_nodes; yields nothing when the form is not sign-definite.
     """
     if corank < 0:
         raise ValueError("corank must be non-negative")
     if not is_definite(lat, sign):
-        return ()
+        return
     n = lat.rank
     m = n + corank
     target = StandardTarget(m, sign)
@@ -276,7 +279,6 @@ def enumerate_embeddings(
         if max_nodes is not None and nodes > max_nodes:
             raise SearchIncomplete(nodes)
 
-    found: list[la.IntMatrix] = []
     cols: list[tuple[int, ...]] = []  # placed columns, in search order
 
     def candidates() -> list[tuple[int, ...]]:
@@ -330,11 +332,30 @@ def enumerate_embeddings(
             by_domain = dict(zip(order, cols + [col]))
             mat = tuple(zip(*(by_domain[j] for j in range(n))))
             # canonical rows sort zero rows last
-            found.append(_canonical_rows(mat) + ((0,) * n,) * (m - rows))
+            yield LatticeEmbedding(
+                _canonical_rows(mat) + ((0,) * n,) * (m - rows), lat, target
+            )
         else:
             cols.append(col)
             stack.append(iter(candidates()))
-    return tuple(LatticeEmbedding(mat, lat, target) for mat in sorted(found))
+
+
+def enumerate_embeddings(
+    lat: GramLattice,
+    corank: int,
+    sign: int,
+    max_nodes: int | None = None,
+) -> tuple[LatticeEmbedding, ...]:
+    """All embeddings of (Z^n, G) into (Z^{n+corank}, sign*Id), up to signed
+    permutation of the target: the classes of iter_embeddings, sorted by
+    matrix, so the list does not depend on the search order.
+
+    Raises SearchIncomplete when max_nodes is exceeded; returns () when the
+    form is not sign-definite.
+    """
+    return tuple(
+        sorted(iter_embeddings(lat, corank, sign, max_nodes), key=lambda e: e.matrix)
+    )
 
 
 def brute_force_embeddings(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -84,6 +85,14 @@ class TestGoeritzVerb:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("regions", [3, 10**12])
+    def test_region_without_crossing_is_input_error(self, capsys, tmp_path, regions):
+        # more regions than crossing ends: rejected before a matrix is sized
+        path = write_json(tmp_path, "d.json", {"regions": regions, "crossings": [[0, 1, -1]]})
+        code, out, err = run(capsys, "goeritz", "--input", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: {regions} regions but 1 crossing(s): some white region touches no crossing\n"
 
 
 class TestEmbedVerb:
@@ -237,6 +246,36 @@ class TestObstructVerb:
         assert payload["gamma4p_lower_bound"] == 2
         assert payload["gap_detected"] is True
 
+    def test_12a1019_json_is_frozen(self, capsys):
+        # the stream stops at the first witness; the report must not move
+        embedding = [
+            [-1, -1, 1, 0, 1, 0], [-1, 0, 0, 0, -1, 1], [-1, 1, -1, 1, 0, 0],
+            [-1, 1, 1, 0, 0, -1], [0, -1, 0, 1, 0, -1], [0, 0, -1, -1, 1, 0],
+            [0, 0, 0, 0, 0, 0],
+        ]
+        intertwiner = [
+            [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0], [0, 0, 0, -1, 0, 0, 0],
+            [-1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1],
+        ]
+        expected = {
+            "action_defaulted": None, "cover_sign": "indeterminate",
+            "gamma4p_lower_bound": 1, "gap_detected": False, "klein": None,
+            "known_gamma4": 1, "name": "12a1019", "residue": 0,
+            "mobius": {
+                "applicable": True, "certifying": True, "kind": "mobius",
+                "obstructed": False, "reason": "equivariant embedding witness found",
+                "vacuous": False,
+                "witnesses": [
+                    {"embedding": embedding, "intertwiner": intertwiner, "sign": sign}
+                    for sign in (-1, 1)
+                ],
+            },
+        }
+        code, out, _ = run(capsys, "obstruct", "--preset", "12a1019", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_12a1019_text(self, capsys):
         code, out, _ = run(capsys, "obstruct", "--preset", "12a1019")
         assert code == 0
@@ -332,6 +371,23 @@ class TestFamilyVerb:
         assert payload["known_gamma4"] == 2
         assert len(payload["closed_form_embeddings"]) == 2
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_text_count_is_the_closed_form_list(self, capsys, n):
+        code, out, _ = run(capsys, "family", "--preset", f"k_n:{n}")
+        assert code == 0
+        count = len(family.family_embeddings(n))
+        assert out.endswith(f"\n{count} closed-form embedding(s)\n")
+        code, out, _ = run(capsys, "family", "--preset", f"k_n:{n}", "--format", "json")
+        assert len(json.loads(out)["closed_form_embeddings"]) == count
+
+    def test_text_builds_no_list(self, capsys):
+        # k_n:40 has 2^20 closed-form embeddings; text prints only the count
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "family", "--preset", "k_n:40")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.endswith("\n1048576 closed-form embedding(s)\n")
+
     def test_bad_kn_value(self, capsys):
         code, _, _ = run(capsys, "family", "--preset", "k_n:x")
         assert code == 1
@@ -420,6 +476,9 @@ class TestHugeSizes:
         [
             ["embed", "--preset", "k_n:2", "--corank", str(10**20)],
             ["family", "--preset", f"k_n:{10**20}"],
+            # past the 10**6 cap: rejected before a class is padded with zero rows
+            ["embed", "--preset", "k_n:2", "--corank", str(10**15), "--budget", "1000"],
+            ["equivariant", "--preset", "k_n:2", "--corank", str(10**15)],
         ],
     )
     def test_one_error_line(self, capsys, argv):
@@ -504,6 +563,33 @@ def forms(draw):
     return obj
 
 
+CROSSINGS = st.one_of(
+    st.lists(
+        st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.sampled_from([1, -1])).map(list),
+        max_size=8,
+    ),
+    st.lists(st.lists(ENTRIES, max_size=4), max_size=3),
+    JSON_VALUES,
+)
+
+
+@st.composite
+def diagrams(draw):
+    """Diagrams whose region count may be far past their crossings, with
+    crossings that may be malformed, or any JSON value."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(JSON_VALUES)
+    obj = {
+        "regions": draw(st.one_of(
+            st.integers(-1, 8), st.sampled_from([10**7, 10**30]), JSON_SCALARS
+        )),
+        "crossings": draw(CROSSINGS),
+    }
+    if draw(st.booleans()):
+        obj["label"] = draw(JSON_VALUES)
+    return obj
+
+
 CERTIFICATE_KEYS = (
     "name", "goeritz_minus", "goeritz_plus", "action_minus", "action_plus",
     "period", "signature", "arf", "known_gamma4",
@@ -552,6 +638,18 @@ class TestRandomJson:
             capsys, verb, "--input", path, "--corank", str(corank), "--budget", "1000"
         )
         assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(obj=diagrams(), fmt=st.sampled_from(["json", "text"]))
+    def test_diagrams(self, capsys, tmp_path, obj, fmt):
+        path = write_json(tmp_path, "d.json", obj)
+        code, _, err = run(capsys, "goeritz", "--input", path, "--format", fmt)
+        assert code in (0, 1)
         assert "Traceback" not in err
 
     @settings(

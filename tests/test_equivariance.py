@@ -20,6 +20,7 @@ from goeritz.equivariance import (
 from goeritz.lattice import (
     GramLattice,
     LatticeEmbedding,
+    SearchIncomplete,
     SignedPermutation,
     StandardTarget,
     _match_rows,
@@ -166,6 +167,32 @@ def invariant_embeddings(draw):
     sign = draw(st.sampled_from((1, -1)))
     g = la.scale(sign, la.matmul(la.transpose(phi), phi))
     return LatticeEmbedding(phi, GramLattice(g), StandardTarget(m, sign)), f
+
+
+@st.composite
+def invariant_forms(draw):
+    """(G, f, sign): a sign-definite form of rank 1 to 4 invariant under the
+    permutation matrix f; entries off the diagonal are in {-1, 0, 1}, one
+    value per orbit of index pairs, and the diagonal dominates."""
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and g[i][j] is None:
+                v = draw(st.integers(-1, 1))
+                a, b = i, j
+                while g[a][b] is None:
+                    g[a][b] = g[b][a] = v
+                    a, b = perm[a], perm[b]
+    slack = draw(st.integers(1, 2))
+    for i in range(n):
+        g[i][i] = -(sum(abs(g[i][j]) for j in range(n) if j != i) + slack)
+    sign = draw(st.sampled_from((1, -1)))
+    f = la.permutation_matrix(perm)
+    lat = GramLattice(la.scale(-sign, la.freeze(g)))
+    assert is_isometry(f, lat)
+    return lat, f, sign
 
 
 def fixture_cases():
@@ -460,6 +487,31 @@ class TestExistsEquivariant:
         hit = exists_equivariant_embedding(lat, f, corank, -1)
         assert (hit is not None) is expect
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_12a1019_stops_at_the_first_witness(self, sign):
+        # the whole corank-1 search takes 2,484 nodes; the first class,
+        # which has a witness, is found within 884
+        lat = G_MINUS if sign == -1 else G_MINUS.negated()
+        f = family.ACTION_12A1019
+        assert exists_equivariant_embedding(lat, f, 1, sign, max_nodes=884) is not None
+        with pytest.raises(SearchIncomplete):
+            exists_equivariant_embedding(lat, f, 1, sign, max_nodes=883)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=invariant_forms(), corank=st.integers(0, 2))
+    def test_agrees_with_sorted_enumeration(self, case, corank):
+        lat, f, sign = case
+        classes = enumerate_embeddings(lat, corank, sign)
+        expect = any(
+            _match_rows(e.matrix, la.matmul(e.matrix, f)) is not None for e in classes
+        )
+        hit = exists_equivariant_embedding(lat, f, corank, sign)
+        assert (hit is not None) is expect
+        if hit is not None:
+            emb, witness = hit
+            assert emb.matrix in [e.matrix for e in classes]
+            assert la.matmul(witness.matrix(), emb.matrix) == la.matmul(emb.matrix, f)
 
     def test_12a1019_witness_is_first_class_in_sorted_order(self):
         classes = enumerate_embeddings(G_MINUS, 1, -1)

@@ -18,6 +18,7 @@ from goeritz.lattice import (
     enumerate_embeddings,
     gram_of,
     is_definite,
+    iter_embeddings,
 )
 
 G_MINUS = GramLattice(family.G_MINUS_12A1019)
@@ -221,6 +222,13 @@ class TestEnumerate:
             enumerate_embeddings(G_MINUS, 1, -1, max_nodes=2483)
         assert len(enumerate_embeddings(G_MINUS, 1, -1, max_nodes=2484)) == 2
 
+    def test_stream_yields_a_class_before_the_search_ends(self):
+        # the first 12a1019 class is yielded within 884 of the 2,484 nodes
+        first = next(iter_embeddings(G_MINUS, 1, -1, max_nodes=884))
+        assert first.matrix in [e.matrix for e in enumerate_embeddings(G_MINUS, 1, -1)]
+        with pytest.raises(SearchIncomplete):
+            next(iter_embeddings(G_MINUS, 1, -1, max_nodes=883))
+
     def test_budget_charges_scans_past_the_machine_word(self):
         # 2 * 10**20 + 1 values to scan: counted, not sized with len()
         lat = GramLattice(((-(10**40),),))
@@ -282,6 +290,17 @@ class TestEnumerate:
         assert sorted(back) == [
             e.matrix for e in enumerate_embeddings(lat, corank, -1)
         ]
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(lat=definite_forms(), corank=st.integers(0, 2))
+    def test_stream_yields_each_class_once(self, lat, corank):
+        stream = [e.matrix for e in iter_embeddings(lat, corank, -1)]
+        assert len(set(stream)) == len(stream)
+        assert sorted(stream) == [
+            e.matrix for e in enumerate_embeddings(lat, corank, -1)
+        ]
+        assert list(iter_embeddings(lat, corank, 1)) == []
 
 
 class TestBruteForceOracle:

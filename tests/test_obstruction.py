@@ -6,7 +6,7 @@ import pytest
 import goeritz._intlinalg as la
 from goeritz import equivariance, family
 from goeritz.diagram import RegionAction, goeritz, induced_action_matrix, validate_action
-from goeritz.lattice import GramLattice, enumerate_embeddings
+from goeritz.lattice import GramLattice, enumerate_embeddings, iter_embeddings
 from goeritz.obstruction import (
     CoverSign,
     KnotCertificate,
@@ -196,14 +196,14 @@ class TestGamma4pLowerBound:
     )
     def test_one_search_per_distinct_problem(self, cert, monkeypatch):
         # G_+ = -G_- with equal actions: the minus and plus problems share
-        # (sign * G, action, corank), so one enumeration serves both
+        # (sign * G, action, corank), so one search serves both
         calls = []
 
         def counting(lat, corank, sign, max_nodes=None):
             calls.append((la.scale(sign, lat.matrix), corank))
-            return enumerate_embeddings(lat, corank, sign, max_nodes=max_nodes)
+            return iter_embeddings(lat, corank, sign, max_nodes=max_nodes)
 
-        monkeypatch.setattr(equivariance, "enumerate_embeddings", counting)
+        monkeypatch.setattr(equivariance, "iter_embeddings", counting)
         rep = gamma4p_lower_bound(cert)
         assert len(calls) == len(set(calls)) == 1
         for sign, emb, t in rep.mobius.witnesses:
