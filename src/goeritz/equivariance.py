@@ -159,19 +159,24 @@ def exists_equivariant_embedding(
 ) -> tuple[LatticeEmbedding, SignedPermutation] | None:
     """First equivariant embedding of (Z^n, G) into (Z^{n+corank}, sign*Id).
 
-    Matches rows for each canonical representative as iter_embeddings
-    yields it, in search order, and stops at the first witness: a form with
-    an equivariant embedding is searched only up to the first class that
-    has one (884 nodes for 12a1019 at corank 1, where the whole search takes
-    2,484), and no class list is kept.  Checking representatives suffices
-    because conjugating an embedding by a signed permutation conjugates any
-    witness to another signed permutation.  No span test runs: the match
-    alone decides.  Propagates SearchIncomplete: an exhausted budget never
-    turns into a "no equivariant embedding" answer.
+    Passes f to iter_embeddings, which cuts every subtree whose placed
+    columns already fail the row match, and matches rows for each canonical
+    representative it yields, in search order; the first witness decides.
+    The cut loses no witness, so the answer is the first matching class of
+    the unpruned stream, with the same witness.  A form with an equivariant
+    embedding is searched only up to the first class that has one (894
+    nodes for 12a1019 at corank 1, where the whole unpruned search takes
+    2,484), a form without one only through the subtrees the cut leaves
+    (refuting K_5 at corank 2 takes 6,230 nodes, 11,689 unpruned), and no
+    class list is kept.  Checking representatives suffices because
+    conjugating an embedding by a signed permutation conjugates any witness
+    to another signed permutation.  No span test runs: the match alone
+    decides.  Propagates SearchIncomplete: an exhausted budget never turns
+    into a "no equivariant embedding" answer.
     """
     if not is_isometry(f, lat):
         raise ValueError("f is not an isometry of the form")
-    for rep in iter_embeddings(lat, corank, sign, max_nodes=max_nodes):
+    for rep in iter_embeddings(lat, corank, sign, max_nodes=max_nodes, action=f):
         witness = _match_rows(rep.matrix, la.matmul(rep.matrix, f))
         if witness is not None:
             return rep, witness

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import goeritz
-from goeritz import family
+from goeritz import cli, family
 from goeritz.cli import DEFAULT_BUDGET, build_parser, main
 
 
@@ -344,7 +344,7 @@ class TestObstructVerb:
         assert code == 2
 
     def test_k4_needs_more_than_1000_nodes(self, capsys):
-        # K_4 at corank 1 takes 1,503 nodes
+        # refuting K_4 at corank 1 takes 1,582 nodes
         code, out, _ = run(
             capsys, "obstruct", "--preset", "k_n:4", "--budget", "1000"
         )
@@ -387,6 +387,25 @@ class TestFamilyVerb:
         assert time.perf_counter() - start < 1
         assert code == 0
         assert out.endswith("\n1048576 closed-form embedding(s)\n")
+
+    def test_json_list_is_capped(self, capsys, monkeypatch):
+        # k_n:22 would list 2,048 matrices (46 MB); the cap is an input error
+        start = time.perf_counter()
+        code, out, err = run(capsys, "family", "--preset", "k_n:22", "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"n <= {cli.MAX_FAMILY_JSON_N}" in err
+        code, out, _ = run(capsys, "family", "--preset", "k_n:22")
+        assert code == 0
+        assert out.endswith("\n2048 closed-form embedding(s)\n")
+        # the cap itself is allowed
+        monkeypatch.setattr(cli, "MAX_FAMILY_JSON_N", 6)
+        code, out, _ = run(capsys, "family", "--preset", "k_n:6", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["closed_form_embeddings"]) == 8
+        code, _, _ = run(capsys, "family", "--preset", "k_n:7", "--format", "json")
+        assert code == 1
 
     def test_bad_kn_value(self, capsys):
         code, _, _ = run(capsys, "family", "--preset", "k_n:x")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -25,6 +26,7 @@ from goeritz.lattice import (
     StandardTarget,
     _match_rows,
     enumerate_embeddings,
+    iter_embeddings,
 )
 
 G_MINUS = GramLattice(family.G_MINUS_12A1019)
@@ -169,12 +171,20 @@ def invariant_embeddings(draw):
     return LatticeEmbedding(phi, GramLattice(g), StandardTarget(m, sign)), f
 
 
+def reflection(p, j):
+    """x -> x - <x, e_j> e_j for the positive form p with p[j][j] == 2."""
+    n = len(p)
+    return la.freeze([[(a == b) - (a == j) * p[j][b] for b in range(n)] for a in range(n)])
+
+
 @st.composite
-def invariant_forms(draw):
-    """(G, f, sign): a sign-definite form of rank 1 to 4 invariant under the
-    permutation matrix f; entries off the diagonal are in {-1, 0, 1}, one
-    value per orbit of index pairs, and the diagonal dominates."""
-    n = draw(st.integers(1, 4))
+def invariant_forms(draw, max_rank=6):
+    """(G, f, sign): a sign-definite form of rank 1 to max_rank invariant
+    under a permutation matrix P; entries off the diagonal are in {-1, 0, 1},
+    one value per orbit of index pairs, and the diagonal dominates.  The
+    isometry f is P, -P, -Id, or the reflection in a basis vector of norm 2
+    when there is one, whose columns have two nonzero entries."""
+    n = draw(st.integers(1, max_rank))
     perm = draw(st.permutations(range(n)))
     g = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -189,10 +199,58 @@ def invariant_forms(draw):
     for i in range(n):
         g[i][i] = -(sum(abs(g[i][j]) for j in range(n) if j != i) + slack)
     sign = draw(st.sampled_from((1, -1)))
-    f = la.permutation_matrix(perm)
+    p = la.permutation_matrix(perm)
+    actions = [p, la.neg(p), la.neg(la.identity(n))]
+    roots = [j for j in range(n) if g[j][j] == -2]
+    if roots:
+        actions.append(reflection(la.neg(la.freeze(g)), draw(st.sampled_from(roots))))
+    f = draw(st.sampled_from(actions))
     lat = GramLattice(la.scale(-sign, la.freeze(g)))
     assert is_isometry(f, lat)
     return lat, f, sign
+
+
+def first_stream_match(lat, f, corank, sign):
+    """(rep, witness) for the first class of the unpruned stream whose rows
+    match under f, or None: the oracle for the pruned search."""
+    for rep in iter_embeddings(lat, corank, sign):
+        witness = _match_rows(rep.matrix, la.matmul(rep.matrix, f))
+        if witness is not None:
+            return rep, witness
+    return None
+
+
+def assert_pruned_stream_keeps_every_match(lat, f, corank, sign):
+    """The action only cuts: the pruned stream is the unpruned one, in its
+    order, less classes whose rows do not match."""
+    full = [e.matrix for e in iter_embeddings(lat, corank, sign)]
+    pruned = [e.matrix for e in iter_embeddings(lat, corank, sign, action=f)]
+    rest = iter(full)
+    assert all(mat in rest for mat in pruned)  # a subsequence
+    matching = [mat for mat in full if _match_rows(mat, la.matmul(mat, f))]
+    assert set(matching) <= set(pruned)
+
+
+# Positive definite root lattices (Cartan matrices).  A simple reflection is
+# an integral isometry with two nonzero entries in some columns, and the
+# products below have more, so the row-match checks see actions that are
+# not signed permutations.
+ROOT_FORMS = {
+    "A_2": ((2, -1), (-1, 2)),
+    "A_3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    "D_4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+}
+
+
+def root_form_cases():
+    for name, p in ROOT_FORMS.items():
+        reflections = [reflection(p, j) for j in range(len(p))]
+        # each simple reflection, and their product: a Coxeter element
+        actions = reflections + [functools.reduce(la.matmul, reflections)]
+        if name == "D_4":  # triality after the central reflection: no witness
+            actions.append(la.matmul(la.permutation_matrix((2, 1, 3, 0)), reflections[1]))
+        for k, f in enumerate(actions):
+            yield pytest.param(p, f, id=f"{name}-{k}")
 
 
 def fixture_cases():
@@ -490,13 +548,59 @@ class TestExistsEquivariant:
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_12a1019_stops_at_the_first_witness(self, sign):
-        # the whole corank-1 search takes 2,484 nodes; the first class,
-        # which has a witness, is found within 884
+        # the whole unpruned corank-1 search takes 2,484 nodes; the first
+        # class, which has a witness, is found within 894, row-match checks
+        # included
         lat = G_MINUS if sign == -1 else G_MINUS.negated()
         f = family.ACTION_12A1019
-        assert exists_equivariant_embedding(lat, f, 1, sign, max_nodes=884) is not None
+        assert exists_equivariant_embedding(lat, f, 1, sign, max_nodes=894) is not None
         with pytest.raises(SearchIncomplete):
-            exists_equivariant_embedding(lat, f, 1, sign, max_nodes=883)
+            exists_equivariant_embedding(lat, f, 1, sign, max_nodes=893)
+
+    def test_k4_refutation_needs_more_than_1000_nodes(self):
+        # obstruct --preset k_n:4 --budget 1000 must stay inconclusive: each
+        # row-match check is charged 2 * rows * |J| nodes (at 1 per check the
+        # refutation would take 787)
+        lat, f = family.goeritz_Gn(4), family.action_fn(4)
+        assert exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1582) is None
+        with pytest.raises(SearchIncomplete):
+            exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1581)
+        with pytest.raises(SearchIncomplete):
+            exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1000)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("corank", [1, 2, 3])
+    def test_12a1019_pruned_hit_is_first_match_of_the_stream(self, corank, sign):
+        lat = G_MINUS if sign == -1 else G_MINUS.negated()
+        f = family.ACTION_12A1019
+        assert exists_equivariant_embedding(lat, f, corank, sign) == first_stream_match(
+            lat, f, corank, sign
+        )
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("p, f", root_form_cases())
+    def test_reflections_of_root_lattices(self, p, f, sign):
+        lat = GramLattice(la.scale(sign, p))
+        assert is_isometry(f, lat)
+        for corank in (0, 1, 2):
+            assert exists_equivariant_embedding(lat, f, corank, sign) == first_stream_match(
+                lat, f, corank, sign
+            )
+            assert_pruned_stream_keeps_every_match(lat, f, corank, sign)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=invariant_forms(max_rank=4), corank=st.integers(0, 2))
+    def test_pruned_stream_keeps_every_matching_class(self, case, corank):
+        lat, f, sign = case
+        assert_pruned_stream_keeps_every_match(lat, f, corank, sign)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=invariant_forms(), corank=st.integers(0, 2))
+    def test_pruned_hit_is_first_match_of_the_stream(self, case, corank):
+        lat, f, sign = case
+        assert exists_equivariant_embedding(lat, f, corank, sign) == first_stream_match(
+            lat, f, corank, sign
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(case=invariant_forms(), corank=st.integers(0, 2))

@@ -229,6 +229,11 @@ class TestEnumerate:
         with pytest.raises(SearchIncomplete):
             next(iter_embeddings(G_MINUS, 1, -1, max_nodes=883))
 
+    @pytest.mark.parametrize("action", [la.identity(5), ((1,) * 6,) * 5, ((1,) * 5,) * 6])
+    def test_action_of_wrong_shape_is_value_error(self, action):
+        with pytest.raises(ValueError, match="shape"):
+            next(iter_embeddings(G_MINUS, 1, -1, action=action))
+
     def test_budget_charges_scans_past_the_machine_word(self):
         # 2 * 10**20 + 1 values to scan: counted, not sized with len()
         lat = GramLattice(((-(10**40),),))

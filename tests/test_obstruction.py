@@ -175,9 +175,9 @@ class TestGamma4pLowerBound:
     def test_kn_bound_table(self):
         bounds = [
             gamma4p_lower_bound(family.make_certificate_Kn(n)).gamma4p_lower_bound
-            for n in range(2, 8)
+            for n in range(2, 13)
         ]
-        assert bounds == [2, 3, 2, 3, 2, 3]
+        assert bounds == [2, 3] * 5 + [2]
 
     def test_12a1019_bound_1_no_gap(self):
         rep = gamma4p_lower_bound(family.fixture_12a1019())
@@ -199,9 +199,9 @@ class TestGamma4pLowerBound:
         # (sign * G, action, corank), so one search serves both
         calls = []
 
-        def counting(lat, corank, sign, max_nodes=None):
+        def counting(lat, corank, sign, max_nodes=None, action=None):
             calls.append((la.scale(sign, lat.matrix), corank))
-            return iter_embeddings(lat, corank, sign, max_nodes=max_nodes)
+            return iter_embeddings(lat, corank, sign, max_nodes=max_nodes, action=action)
 
         monkeypatch.setattr(equivariance, "iter_embeddings", counting)
         rep = gamma4p_lower_bound(cert)
