@@ -160,14 +160,15 @@ def exists_equivariant_embedding(
     """First equivariant embedding of (Z^n, G) into (Z^{n+corank}, sign*Id).
 
     Passes f to iter_embeddings, which cuts every subtree whose placed
-    columns already fail the row match, and matches rows for each canonical
-    representative it yields, in search order; the first witness decides.
+    columns already fail the row match under a power of f, and matches rows
+    for each canonical representative it yields, in search order; the first
+    witness decides.
     The cut loses no witness, so the answer is the first matching class of
     the unpruned stream, with the same witness.  A form with an equivariant
     embedding is searched only up to the first class that has one (894
     nodes for 12a1019 at corank 1, where the whole unpruned search takes
     2,484), a form without one only through the subtrees the cut leaves
-    (refuting K_5 at corank 2 takes 6,230 nodes, 11,689 unpruned), and no
+    (refuting K_5 at corank 2 takes 4,361 nodes, 11,689 unpruned), and no
     class list is kept.  Checking representatives suffices because
     conjugating an embedding by a signed permutation conjugates any witness
     to another signed permutation.  No span test runs: the match alone

@@ -223,6 +223,51 @@ def _column_order(p: la.IntMatrix) -> list[int]:
     return order
 
 
+def _sign_gauge(p: la.IntMatrix, order: list[int]) -> list[int]:
+    """Column signs d that make d_i * d_j * p[i][j] negative whenever i is
+    the first column placed before j (in order) with p[i][j] != 0.
+
+    Forms that differ only by negated basis vectors have the same order
+    and the same gauged matrix (d is fixed up to the sign of each connected
+    component, and negating a whole component leaves the matrix as it is);
+    every packaged fixture is already in this gauge (d = 1).
+    """
+    d = [1] * len(p)
+    for k, j in enumerate(order):
+        for i in order[:k]:
+            if p[i][j]:
+                d[j] = -d[i] if p[i][j] > 0 else d[i]
+                break
+    return d
+
+
+def _columns(f: la.IntMatrix) -> list[list[tuple[int, int]]]:
+    """The nonzero terms (i, f[i][j]) of each column j of f."""
+    return [[(i, row[j]) for i, row in enumerate(f) if row[j]] for j in range(len(f))]
+
+
+def _half_powers(f: list[list[tuple[int, int]]]) -> list[list[list[tuple[int, int]]]]:
+    """f^t for 1 <= t <= r/2, where r is the (finite) order of f, given and
+    returned as _columns.
+
+    f^(r-t) is the inverse of f^t; for a signed permutation its row-match
+    check repeats that of f^t, so it is left out."""
+    identity = [[(j, 1)] for j in range(len(f))]
+    powers, prev = [], identity
+    while True:
+        nxt = []
+        for terms in f:  # f^(t+1)[:, j] = sum over i of f[i][j] * f^t[:, i]
+            acc: dict[int, int] = {}
+            for i, c in terms:
+                for a, b in prev[i]:
+                    acc[a] = acc.get(a, 0) + c * b
+            nxt.append([(a, v) for a, v in sorted(acc.items()) if v])
+        if nxt == identity:  # f^r = 1: keep f^1 .. f^(r/2)
+            return powers[: (len(powers) + 1) // 2]
+        powers.append(nxt)
+        prev = nxt
+
+
 def iter_embeddings(
     lat: GramLattice,
     corank: int,
@@ -248,7 +293,11 @@ def iter_embeddings(
     rows are searched; the rest are zero rows added to each class.  Each
     leaf is put back in domain basis order, canonicalized and yielded as it
     is found, so the order of the stream depends on the search order; no
-    class list is kept.
+    class list is kept.  The search runs on the form with the column signs
+    of _sign_gauge, and each leaf gets those signs back before it is
+    canonicalized: forms that differ only by negated basis vectors are
+    searched alike, node for node, and yield the same classes (up to those
+    signs) in the same order.
 
     The columns are kept on an explicit stack; only the filling of a single
     column recurses, at most m + 2 frames deep.  Every call of that filling
@@ -257,30 +306,44 @@ def iter_embeddings(
     nodes for 12a1019 at corank 1, 1,503 for K_4 at corank 1 and 11,689 for
     K_5 at corank 2; the first 12a1019 class is yielded within 884.
 
-    With an action, an n x n integer matrix f in the domain basis, subtrees
+    With an action, an integer isometry f of G in the domain basis, subtrees
     whose placed columns already rule out a signed permutation F with
-    F.phi = phi.f are cut.  If F exists, then for any set J of domain
-    columns the rows of phi[:, J] and of (phi.f)[:, J] agree as multisets up
-    to sign, in every matrix of the orbit.  After column k of the search
-    order is placed, J_k is the set of placed columns j whose action column
-    f[:, j] is supported on placed columns only, so (phi.f)[:, J_k] is known;
+    F.phi = phi.f are cut.  If F exists, then F^t.phi = phi.f^t for every
+    power, so for any set J of domain columns the rows of phi[:, J] and of
+    (phi.f^t)[:, J] agree as multisets up to sign, in every matrix of the
+    orbit.  The form is definite, so f has finite order r; the powers f^t
+    with 1 <= t <= r/2 are checked (for a signed permutation f^(r-t)
+    repeats the check of f^t).  After column k of the search order is
+    placed, J_k is the set of placed columns j whose column f^t[:, j] is
+    supported on placed columns only, so (phi.f^t)[:, J_k] is known;
     whenever J_k is larger than J_{k-1} the two sides are sign-normalized
     and sorted, and the column is dropped if they differ.  A cut subtree
     holds no class with a witness, so the stream is the unpruned one less
     some classes without a witness, in the same order.  At the leaf the
     consumer's full row match decides, so no check runs there.  A check is
     charged 2 * rows * |J_k| nodes, the entries it builds: refuting K_4 at
-    corank 1 takes 1,582 nodes, K_5 at corank 2 6,230, and the first
-    12a1019 witness at corank 1 is yielded within 894.
+    corank 1 takes 1,308 nodes, K_5 at corank 2 4,361, and the first
+    12a1019 witness at corank 1 is yielded within 894.  With all the powers,
+    the cost hardly depends on how f sits in the search order: the
+    relabellings of K_5 by a permutation of its blocks and basis signs take
+    4,132 to 4,516 nodes (6,196 to 8,990 when only f was checked).
 
     Raises SearchIncomplete when the consumer asks for a class past
-    max_nodes; yields nothing when the form is not sign-definite.
+    max_nodes; yields nothing when the form is not sign-definite; raises
+    ValueError when the action is not an isometry of G.
     """
     n = lat.rank
     if corank < 0:
         raise ValueError("corank must be non-negative")
-    if action is not None and (len(action) != n or any(len(row) != n for row in action)):
-        raise ValueError("action matrix has wrong shape")
+    if action is not None:
+        if len(action) != n or any(len(row) != n for row in action):
+            raise ValueError("action matrix has wrong shape")
+        f, g = _columns(action), lat.matrix
+        if any(  # f^T G f != G, from the sparse columns of f
+            sum(c * e * g[i][k] for i, c in f[a] for k, e in f[b]) != g[a][b]
+            for a in range(n) for b in range(a, n)
+        ):
+            raise ValueError("action is not an isometry of the form")
     if not is_definite(lat, sign):
         return
     m = n + corank
@@ -289,7 +352,9 @@ def iter_embeddings(
     # each nonzero row adds at least 1 to trace(p): only that many rows are searched
     rows = min(m, sum(p[j][j] for j in range(n)))
     order = _column_order(p)  # order[k]: the domain column placed at step k
-    q = [[p[a][b] for b in order] for a in order]  # p in search order
+    # the search runs on D.p.D, D = diag(d); a leaf psi is the class of psi.D
+    d = _sign_gauge(p, order)
+    q = [[d[a] * d[b] * p[a][b] for b in order] for a in order]  # in search order
     nodes = 0
 
     def tick(count: int = 1):
@@ -340,37 +405,41 @@ def iter_embeddings(
         fill(0, q[j][j], [0] * j)
         return out
 
-    # checks[k], for each step k where J_k grows: each column of J_k as its
-    # step and the terms (step of i, f[i][j]) of its image column
-    checks: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+    # checks[k]: for each power g of D.f.D whose J_k grows at step k, each
+    # column of J_k as its step and the terms (step of i, g[i][j]) of its
+    # image column
+    checks: dict[int, list[list[tuple[int, list[tuple[int, int]]]]]] = {}
     if action is not None:
         step = {j: k for k, j in enumerate(order)}
-        done = 0
-        for k in range(n - 1):  # at the leaf, the consumer's full match decides
-            carried = [
-                j for j in order[: k + 1]
-                if all(step[i] <= k for i in range(n) if action[i][j])
-            ]
-            if len(carried) > done:
-                done = len(carried)
-                checks[k] = [
-                    (step[j], [(step[i], action[i][j]) for i in range(n) if action[i][j]])
-                    for j in carried
+        gauged = [[(i, d[i] * c * d[j]) for i, c in col] for j, col in enumerate(f)]
+        for power in _half_powers(gauged):
+            done = 0
+            for k in range(n - 1):  # at the leaf, the consumer's full match decides
+                carried = [
+                    j for j in order[: k + 1] if all(step[i] <= k for i, _ in power[j])
                 ]
+                if len(carried) > done:
+                    done = len(carried)
+                    checks.setdefault(k, []).append([
+                        (step[j], [(step[i], c) for i, c in power[j]]) for j in carried
+                    ])
 
     def rows_match(placed: list[tuple[int, ...]]) -> bool:
-        """The rows of phi[:, J_k] and (phi.f)[:, J_k] agree up to sign and
-        order; charged as the 2 * rows * |J_k| entries built."""
-        check = checks[len(placed) - 1]
-        tick(2 * rows * len(check))
-        left = [placed[s] for s, _ in check]
-        right = [
-            [sum(c * placed[s][t] for s, c in terms) for t in range(rows)]
-            for _, terms in check
-        ]
-        return sorted(map(_sign_normalized, zip(*left))) == sorted(
-            map(_sign_normalized, zip(*right))
-        )
+        """For each check at this step, the rows of psi[:, J_k] and
+        (psi.g)[:, J_k] agree up to sign and order; each check is charged as
+        the 2 * rows * |J_k| entries it builds."""
+        for check in checks[len(placed) - 1]:
+            tick(2 * rows * len(check))
+            left = [placed[s] for s, _ in check]
+            right = [
+                [sum(c * placed[s][t] for s, c in terms) for t in range(rows)]
+                for _, terms in check
+            ]
+            if sorted(map(_sign_normalized, zip(*left))) != sorted(
+                map(_sign_normalized, zip(*right))
+            ):
+                return False
+        return True
 
     stack = [iter(candidates())]  # stack[k]: untried candidates for column k
     while stack:
@@ -383,7 +452,10 @@ def iter_embeddings(
             continue
         elif len(cols) == n - 1:
             by_domain = dict(zip(order, cols + [col]))
-            mat = tuple(zip(*(by_domain[j] for j in range(n))))
+            mat = tuple(zip(*(
+                by_domain[j] if d[j] > 0 else tuple(-x for x in by_domain[j])
+                for j in range(n)
+            )))
             # canonical rows sort zero rows last
             yield LatticeEmbedding(
                 _canonical_rows(mat) + ((0,) * n,) * (m - rows), lat, target

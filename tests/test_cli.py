@@ -344,7 +344,7 @@ class TestObstructVerb:
         assert code == 2
 
     def test_k4_needs_more_than_1000_nodes(self, capsys):
-        # refuting K_4 at corank 1 takes 1,582 nodes
+        # refuting K_4 at corank 1 takes 1,308 nodes
         code, out, _ = run(
             capsys, "obstruct", "--preset", "k_n:4", "--budget", "1000"
         )

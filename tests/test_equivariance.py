@@ -24,6 +24,7 @@ from goeritz.lattice import (
     SearchIncomplete,
     SignedPermutation,
     StandardTarget,
+    _canonical_rows,
     _match_rows,
     enumerate_embeddings,
     iter_embeddings,
@@ -560,13 +561,44 @@ class TestExistsEquivariant:
     def test_k4_refutation_needs_more_than_1000_nodes(self):
         # obstruct --preset k_n:4 --budget 1000 must stay inconclusive: each
         # row-match check is charged 2 * rows * |J| nodes (at 1 per check the
-        # refutation would take 787)
+        # refutation would take 515)
         lat, f = family.goeritz_Gn(4), family.action_fn(4)
-        assert exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1582) is None
+        assert exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1308) is None
         with pytest.raises(SearchIncomplete):
-            exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1581)
+            exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1307)
         with pytest.raises(SearchIncomplete):
             exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1000)
+
+    def test_k4_relabellings_refute_at_nearly_the_same_cost(self):
+        # every permutation of the blocks of K_4 with any basis signs
+        # refutes in 1,295 to 1,351 nodes: the checks use every power of f
+        # and the search runs in one sign gauge (with f alone and no gauge,
+        # 1,573 to 1,791)
+        g, f = family.goeritz_Gn(4).matrix, family.action_fn(4)
+        rng = random.Random(4)
+        for blocks in itertools.permutations(range(4)):
+            images = [blocks[k] * 2 + a for k in range(4) for a in range(2)]
+            signs = [rng.choice((1, -1)) for _ in range(8)]
+            p = [[signs[j] if images[j] == i else 0 for j in range(8)] for i in range(8)]
+            pt = la.transpose(p)
+            lat = GramLattice(la.matmul(la.matmul(pt, g), p))
+            f2 = la.matmul(la.matmul(pt, f), p)
+            assert exists_equivariant_embedding(lat, f2, 1, -1, max_nodes=1351) is None
+            with pytest.raises(SearchIncomplete):
+                exists_equivariant_embedding(lat, f2, 1, -1, max_nodes=1294)
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1, -1, -1, -1), (1, -1, 1, 1, -1, -1)])
+    def test_12a1019_with_negated_basis_vectors_stops_at_the_same_node(self, signs):
+        # without the sign gauge, negating one triangle took 1,395 nodes
+        d = la.freeze([[signs[i] if i == j else 0 for j in range(6)] for i in range(6)])
+        lat = GramLattice(la.matmul(la.matmul(d, G_MINUS.matrix), d))
+        f = la.matmul(la.matmul(d, family.ACTION_12A1019), d)
+        emb, witness = exists_equivariant_embedding(lat, f, 1, -1, max_nodes=894)
+        with pytest.raises(SearchIncomplete):
+            exists_equivariant_embedding(lat, f, 1, -1, max_nodes=893)
+        ours, _ = exists_equivariant_embedding(G_MINUS, family.ACTION_12A1019, 1, -1)
+        assert _canonical_rows(la.matmul(emb.matrix, d)) == ours.matrix
+        assert la.matmul(witness.matrix(), emb.matrix) == la.matmul(emb.matrix, f)
 
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("corank", [1, 2, 3])

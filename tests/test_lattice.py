@@ -12,6 +12,11 @@ from goeritz.lattice import (
     SearchIncomplete,
     SignedPermutation,
     StandardTarget,
+    _canonical_rows,
+    _column_order,
+    _columns,
+    _half_powers,
+    _sign_gauge,
     brute_force_embeddings,
     canonicalize,
     embeddings_equivalent,
@@ -51,6 +56,25 @@ def definite_forms(draw):
     lat = GramLattice(la.scale(-1, la.matmul(la.transpose(a), a)))
     assume(is_definite(lat, -1))
     return lat
+
+
+def search_nodes(lat, corank):
+    """Nodes of the whole search: the least budget under which it ends."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            enumerate_embeddings(lat, corank, -1, max_nodes=hi)
+            break
+        except SearchIncomplete:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            enumerate_embeddings(lat, corank, -1, max_nodes=mid)
+            hi = mid
+        except SearchIncomplete:
+            lo = mid
+    return hi
 
 
 class TestGramLattice:
@@ -233,6 +257,49 @@ class TestEnumerate:
     def test_action_of_wrong_shape_is_value_error(self, action):
         with pytest.raises(ValueError, match="shape"):
             next(iter_embeddings(G_MINUS, 1, -1, action=action))
+
+    def test_action_that_is_not_an_isometry_is_value_error(self):
+        # its powers would never reach the identity
+        action = la.permutation_matrix((1, 0, 2, 3, 4, 5))
+        with pytest.raises(ValueError, match="isometry"):
+            next(iter_embeddings(G_MINUS, 1, -1, action=action))
+
+    @pytest.mark.parametrize("n, kept", [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)])
+    def test_half_powers_of_the_rotation(self, n, kept):
+        f = family.action_fn(n)
+        dense = [
+            tuple(tuple(dict(power[j]).get(i, 0) for j in range(2 * n)) for i in range(2 * n))
+            for power in _half_powers(_columns(f))
+        ]
+        expect, g = [], f
+        for _ in range(kept):
+            expect.append(g)
+            g = la.matmul(g, f)
+        assert dense == expect
+
+    @pytest.mark.parametrize("f, kept", [(la.identity(3), 0), (la.neg(la.identity(3)), 1)])
+    def test_half_powers_of_plus_and_minus_identity(self, f, kept):
+        assert len(_half_powers(_columns(f))) == kept
+
+    def test_fixtures_are_in_the_sign_gauge(self):
+        for p in (la.neg(family.G_MINUS_12A1019), la.neg(family.goeritz_Gn(5).matrix)):
+            assert _sign_gauge(p, _column_order(p)) == [1] * len(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=definite_forms(), corank=st.integers(0, 2), data=st.data())
+    def test_negated_basis_vectors_give_the_same_stream(self, g, corank, data):
+        # the search runs on the gauged form, so D.G.D yields the classes of
+        # G times D, in the same order, at the same node count
+        n = g.rank
+        d = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        flip = la.freeze([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        h = GramLattice(la.matmul(la.matmul(flip, g.matrix), flip))
+        ours = [e.matrix for e in iter_embeddings(g, corank, -1)]
+        theirs = [
+            _canonical_rows(la.matmul(e.matrix, flip)) for e in iter_embeddings(h, corank, -1)
+        ]
+        assert theirs == ours
+        assert search_nodes(h, corank) == search_nodes(g, corank)
 
     def test_budget_charges_scans_past_the_machine_word(self):
         # 2 * 10**20 + 1 values to scan: counted, not sized with len()
