@@ -46,6 +46,9 @@ MAX_CORANK = 10**6
 # family --format json lists 2 ** (n // 2) matrices of size (2n + 1) x 2n:
 # k_n:20 prints 19 MB in 5 s, k_n:22 46 MB in 15 s.
 MAX_FAMILY_JSON_N = 20
+# Building the k_n:N certificate takes 0.25 s at N = 100 and 0.8 s at N = 150
+# (2 cores, Python 3.11), and grows about as N ** 3.
+MAX_PRESET_N = 100
 
 
 def _parse_preset(name: str) -> KnotCertificate:
@@ -58,6 +61,8 @@ def _parse_preset(name: str) -> KnotCertificate:
             raise ValueError(f"bad preset {name!r}: expected k_n:<integer>")
         if n < 2:
             raise ValueError("k_n preset needs n >= 2")
+        if n > MAX_PRESET_N:
+            raise ValueError(f"k_n preset needs n <= {MAX_PRESET_N}")
         return family.make_certificate_Kn(n)
     raise ValueError(f"unknown preset {name!r} (try k_n:3 or 12a1019)")
 

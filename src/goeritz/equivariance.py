@@ -22,21 +22,10 @@ from .lattice import (
     SearchIncomplete,
     SignedPermutation,
     _match_rows,
+    _require_square,
+    is_isometry,
     iter_embeddings,
 )
-
-
-def _require_square(f: la.IntMatrix, n: int) -> None:
-    # Checked before any product: zip in la.matmul truncates silently.
-    if len(f) != n or any(len(row) != n for row in f):
-        raise ValueError("action matrix has wrong shape")
-
-
-def is_isometry(f: la.IntMatrix, lat: GramLattice) -> bool:
-    """True iff f^T G f = G."""
-    f = la.freeze(f)
-    _require_square(f, lat.rank)
-    return la.matmul(la.matmul(la.transpose(f), lat.matrix), f) == lat.matrix
 
 
 @dataclass(frozen=True)
@@ -172,11 +161,10 @@ def exists_equivariant_embedding(
     class list is kept.  Checking representatives suffices because
     conjugating an embedding by a signed permutation conjugates any witness
     to another signed permutation.  No span test runs: the match alone
-    decides.  Propagates SearchIncomplete: an exhausted budget never turns
+    decides.  iter_embeddings checks once that f is an isometry (ValueError
+    if not).  Propagates SearchIncomplete: an exhausted budget never turns
     into a "no equivariant embedding" answer.
     """
-    if not is_isometry(f, lat):
-        raise ValueError("f is not an isometry of the form")
     for rep in iter_embeddings(lat, corank, sign, max_nodes=max_nodes, action=f):
         witness = _match_rows(rep.matrix, la.matmul(rep.matrix, f))
         if witness is not None:

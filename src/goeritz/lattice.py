@@ -241,20 +241,35 @@ def _sign_gauge(p: la.IntMatrix, order: list[int]) -> list[int]:
     return d
 
 
+def _require_square(f: la.IntMatrix, n: int) -> None:
+    # Checked before any product: zip in la.matmul truncates silently.
+    if len(f) != n or any(len(row) != n for row in f):
+        raise ValueError("action matrix has wrong shape")
+
+
+def is_isometry(f: la.IntMatrix, lat: GramLattice) -> bool:
+    """True iff f^T G f = G."""
+    f = la.freeze(f)
+    _require_square(f, lat.rank)
+    return la.matmul(la.matmul(la.transpose(f), lat.matrix), f) == lat.matrix
+
+
 def _columns(f: la.IntMatrix) -> list[list[tuple[int, int]]]:
     """The nonzero terms (i, f[i][j]) of each column j of f."""
     return [[(i, row[j]) for i, row in enumerate(f) if row[j]] for j in range(len(f))]
 
 
 def _half_powers(f: list[list[tuple[int, int]]]) -> list[list[list[tuple[int, int]]]]:
-    """f^t for 1 <= t <= r/2, where r is the (finite) order of f, given and
-    returned as _columns.
+    """f^t for 1 <= t <= min(r/2, n), where r is the (finite) order of the
+    n x n matrix f, given and returned as _columns.
 
     f^(r-t) is the inverse of f^t; for a signed permutation its row-match
-    check repeats that of f^t, so it is left out."""
-    identity = [[(j, 1)] for j in range(len(f))]
+    check repeats that of f^t, so it is left out.  At most 2n powers are
+    formed, so the table stays polynomial in n even when r is not."""
+    n = len(f)
+    identity = [[(j, 1)] for j in range(n)]
     powers, prev = [], identity
-    while True:
+    for _ in range(2 * n):
         nxt = []
         for terms in f:  # f^(t+1)[:, j] = sum over i of f[i][j] * f^t[:, i]
             acc: dict[int, int] = {}
@@ -262,10 +277,11 @@ def _half_powers(f: list[list[tuple[int, int]]]) -> list[list[list[tuple[int, in
                 for a, b in prev[i]:
                     acc[a] = acc.get(a, 0) + c * b
             nxt.append([(a, v) for a, v in sorted(acc.items()) if v])
-        if nxt == identity:  # f^r = 1: keep f^1 .. f^(r/2)
-            return powers[: (len(powers) + 1) // 2]
+        if nxt == identity:  # f^r = 1 with r <= 2n
+            break
         powers.append(nxt)
         prev = nxt
+    return powers[: (len(powers) + 1) // 2]
 
 
 def iter_embeddings(
@@ -297,14 +313,19 @@ def iter_embeddings(
     of _sign_gauge, and each leaf gets those signs back before it is
     canonicalized: forms that differ only by negated basis vectors are
     searched alike, node for node, and yield the same classes (up to those
-    signs) in the same order.
+    signs).  The order is the same too when G is connected; when it is not,
+    the gauge may negate a whole orthogonal summand, which leaves the gauged
+    form as it is but can reorder the classes once those signs are given
+    back.
 
     The columns are kept on an explicit stack; only the filling of a single
-    column recurses, at most m + 2 frames deep.  Every call of that filling
-    counts as one node and every value it scans as one more, so max_nodes
-    bounds the work, however large the norms.  The whole search takes 2,484
-    nodes for 12a1019 at corank 1, 1,503 for K_4 at corank 1 and 11,689 for
-    K_5 at corank 2; the first 12a1019 class is yielded within 884.
+    column recurses, about once per searched row, and a search with more
+    rows than the interpreter's recursion limit allows is a ValueError.
+    Every call of that filling counts as one node and every value it scans
+    as one more, so max_nodes bounds the work, however large the norms.
+    The whole search takes 2,484 nodes for 12a1019 at corank 1, 1,503 for
+    K_4 at corank 1 and 11,689 for K_5 at corank 2; the first 12a1019 class
+    is yielded within 884.
 
     With an action, an integer isometry f of G in the domain basis, subtrees
     whose placed columns already rule out a signed permutation F with
@@ -312,38 +333,35 @@ def iter_embeddings(
     power, so for any set J of domain columns the rows of phi[:, J] and of
     (phi.f^t)[:, J] agree as multisets up to sign, in every matrix of the
     orbit.  The form is definite, so f has finite order r; the powers f^t
-    with 1 <= t <= r/2 are checked (for a signed permutation f^(r-t)
-    repeats the check of f^t).  After column k of the search order is
-    placed, J_k is the set of placed columns j whose column f^t[:, j] is
-    supported on placed columns only, so (phi.f^t)[:, J_k] is known;
-    whenever J_k is larger than J_{k-1} the two sides are sign-normalized
-    and sorted, and the column is dropped if they differ.  A cut subtree
-    holds no class with a witness, so the stream is the unpruned one less
-    some classes without a witness, in the same order.  At the leaf the
-    consumer's full row match decides, so no check runs there.  A check is
-    charged 2 * rows * |J_k| nodes, the entries it builds: refuting K_4 at
-    corank 1 takes 1,308 nodes, K_5 at corank 2 4,361, and the first
-    12a1019 witness at corank 1 is yielded within 894.  With all the powers,
+    with 1 <= t <= min(r/2, n) are checked (for a signed permutation
+    f^(r-t) repeats the check of f^t; the cap at n keeps the table
+    polynomial when r is exponential in n).  The action is checked to be an
+    isometry once, here, and carried in the search coordinates of the form,
+    gauge signs included.  After column k of the search order is placed,
+    J_k is the set of placed columns j whose column f^t[:, j] is supported
+    on placed columns only, so (phi.f^t)[:, J_k] is known; whenever J_k is
+    larger than J_{k-1} the two sides are sign-normalized and sorted, and
+    the column is dropped if they differ.  A cut subtree holds no class with
+    a witness, so the stream is the unpruned one less some classes without
+    a witness, in the same order.  At the leaf the consumer's full row
+    match decides, so no check runs there.  A check is charged
+    2 * rows * |J_k| nodes, the entries it builds: refuting K_4 at corank 1
+    takes 1,308 nodes, K_5 at corank 2 4,361, and the first 12a1019
+    witness at corank 1 is yielded within 894.  With all the powers,
     the cost hardly depends on how f sits in the search order: the
     relabellings of K_5 by a permutation of its blocks and basis signs take
     4,132 to 4,516 nodes (6,196 to 8,990 when only f was checked).
 
     Raises SearchIncomplete when the consumer asks for a class past
     max_nodes; yields nothing when the form is not sign-definite; raises
-    ValueError when the action is not an isometry of G.
+    ValueError when the action is not an isometry of G or the search needs
+    too many rows.
     """
     n = lat.rank
     if corank < 0:
         raise ValueError("corank must be non-negative")
-    if action is not None:
-        if len(action) != n or any(len(row) != n for row in action):
-            raise ValueError("action matrix has wrong shape")
-        f, g = _columns(action), lat.matrix
-        if any(  # f^T G f != G, from the sparse columns of f
-            sum(c * e * g[i][k] for i, c in f[a] for k, e in f[b]) != g[a][b]
-            for a in range(n) for b in range(a, n)
-        ):
-            raise ValueError("action is not an isometry of the form")
+    if action is not None and not is_isometry(action, lat):
+        raise ValueError("action is not an isometry of the form")
     if not is_definite(lat, sign):
         return
     m = n + corank
@@ -402,27 +420,27 @@ def iter_embeddings(
                     fill(t + 1, rem2, [ip + v * cols[i][t] for i, ip in enumerate(ips)])
                     vec[t] = 0
 
-        fill(0, q[j][j], [0] * j)
+        try:
+            fill(0, q[j][j], [0] * j)
+        except RecursionError:
+            raise ValueError(
+                f"the search needs {rows} rows, too many for its column filling"
+            ) from None
         return out
 
-    # checks[k]: for each power g of D.f.D whose J_k grows at step k, each
-    # column of J_k as its step and the terms (step of i, g[i][j]) of its
-    # image column
+    # checks[k]: for each power g of h, the action in search coordinates,
+    # whose J_k grows at step k, each column j of J_k with the terms
+    # (i, g[i][j]) of its image column
     checks: dict[int, list[list[tuple[int, list[tuple[int, int]]]]]] = {}
     if action is not None:
-        step = {j: k for k, j in enumerate(order)}
-        gauged = [[(i, d[i] * c * d[j]) for i, c in col] for j, col in enumerate(f)]
-        for power in _half_powers(gauged):
-            done = 0
-            for k in range(n - 1):  # at the leaf, the consumer's full match decides
-                carried = [
-                    j for j in order[: k + 1] if all(step[i] <= k for i, _ in power[j])
-                ]
-                if len(carried) > done:
-                    done = len(carried)
-                    checks.setdefault(k, []).append([
-                        (step[j], [(step[i], c) for i, c in power[j]]) for j in carried
-                    ])
+        h = [[d[a] * d[b] * action[a][b] for b in order] for a in order]  # like q
+        for power in _half_powers(_columns(h)):
+            # ready[j]: the step after which the image of column j is known
+            ready = [max([j] + [i for i, _ in terms]) for j, terms in enumerate(power)]
+            for k in set(ready) - {n - 1}:  # at the leaf the consumer decides
+                checks.setdefault(k, []).append(
+                    [(j, terms) for j, terms in enumerate(power) if ready[j] <= k]
+                )
 
     def rows_match(placed: list[tuple[int, ...]]) -> bool:
         """For each check at this step, the rows of psi[:, J_k] and
@@ -430,14 +448,12 @@ def iter_embeddings(
         the 2 * rows * |J_k| entries it builds."""
         for check in checks[len(placed) - 1]:
             tick(2 * rows * len(check))
-            left = [placed[s] for s, _ in check]
+            left = [placed[j] for j, _ in check]
             right = [
-                [sum(c * placed[s][t] for s, c in terms) for t in range(rows)]
+                [sum(c * placed[i][t] for i, c in terms) for t in range(rows)]
                 for _, terms in check
             ]
-            if sorted(map(_sign_normalized, zip(*left))) != sorted(
-                map(_sign_normalized, zip(*right))
-            ):
+            if _canonical_rows(zip(*left)) != _canonical_rows(zip(*right)):
                 return False
         return True
 

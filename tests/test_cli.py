@@ -415,6 +415,17 @@ class TestFamilyVerb:
         code, out, err = run(capsys, "family", "--preset", "k_n:1")
         assert (code, out, err) == (1, "", "error: k_n preset needs n >= 2\n")
 
+    def test_kn_above_the_cap(self, capsys):
+        # refused before the certificate is built: k_n:1000 ran past 120 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, "family", "--preset", "k_n:1000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == f"error: k_n preset needs n <= {cli.MAX_PRESET_N}\n"
+        for n in (17, 25, cli.MAX_PRESET_N):
+            code, out, _ = run(capsys, "family", "--preset", f"k_n:{n}")
+            assert code == 0 and out.startswith(f"knot K_{n}:")
+
     def test_closed_pipe_exits_quietly(self):
         # the reader has closed the pipe before the first write
         src = os.path.dirname(os.path.dirname(goeritz.__file__))
@@ -498,9 +509,15 @@ class TestHugeSizes:
             # past the 10**6 cap: rejected before a class is padded with zero rows
             ["embed", "--preset", "k_n:2", "--corank", str(10**15), "--budget", "1000"],
             ["equivariant", "--preset", "k_n:2", "--corank", str(10**15)],
+            # 991 searched rows, one recursion of the column filling each
+            ["embed", "--input", {"matrix": [[-1000]]}, "--corank", "990"],
         ],
     )
-    def test_one_error_line(self, capsys, argv):
+    def test_one_error_line(self, capsys, tmp_path, argv):
+        argv = [
+            write_json(tmp_path, "form.json", a) if isinstance(a, dict) else a
+            for a in argv
+        ]
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""

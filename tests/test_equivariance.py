@@ -2,13 +2,14 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import goeritz._intlinalg as la
-from goeritz import equivariance, family
+from goeritz import equivariance, family, lattice
 from goeritz.equivariance import (
     EquivarianceVerdict,
     SpanTestResult,
@@ -532,14 +533,15 @@ class TestExistsEquivariant:
         ],
     )
     def test_row_match_alone_decides(self, monkeypatch, lat, f, corank, expect):
+        # iter_embeddings checks the isometry, once, in lattice
         calls = []
-        real = equivariance.is_isometry
+        real = lattice.is_isometry
 
         def forbidden(*args):
             raise AssertionError("span test on the decision path")
 
         monkeypatch.setattr(
-            equivariance, "is_isometry", lambda *a: calls.append(1) or real(*a)
+            lattice, "is_isometry", lambda *a: calls.append(1) or real(*a)
         )
         monkeypatch.setattr(equivariance, "span_restriction_test", forbidden)
         monkeypatch.setattr(equivariance, "find_equivariant_witness", forbidden)
@@ -654,3 +656,40 @@ class TestExistsEquivariant:
         emb, witness = exists_equivariant_embedding(G_MINUS, family.ACTION_12A1019, 1, -1)
         assert emb == classes[0]
         assert witness == find_equivariant_witness(emb, family.ACTION_12A1019).witness
+
+    def test_long_period_is_bounded_by_the_budget(self):
+        # a (7, 11, 13, 17)-cycle on -2 * Id of rank 48 has order 17,017;
+        # only the powers up to f^48 are formed, so the budget ends the call
+        images, start = [], 0
+        for c in (7, 11, 13, 17):
+            images += [start + (k + 1) % c for k in range(c)]
+            start += c
+        f = la.freeze([[int(images[j] == i) for j in range(48)] for i in range(48)])
+        lat = GramLattice(la.scale(-2, la.identity(48)))
+        began = time.perf_counter()
+        with pytest.raises(SearchIncomplete):
+            exists_equivariant_embedding(lat, f, 1, -1, max_nodes=10)
+        assert time.perf_counter() - began < 1
+
+    @pytest.mark.parametrize(
+        "diag", [(1,) * 9, (1,) * 4 + (2,) * 5, (2,) * 4 + (1,) * 5, (2,) * 9]
+    )
+    @pytest.mark.parametrize("corank", [0, 1])
+    def test_capped_powers_agree_with_sorted_enumeration(self, diag, corank):
+        # a (4, 5)-cycle has order 20 > 2 * 9, so only f^1 .. f^9 are
+        # checked; -Id has a witness
+        images = [(k + 1) % 4 for k in range(4)] + [4 + (k + 1) % 5 for k in range(5)]
+        f = la.freeze([[int(images[j] == i) for j in range(9)] for i in range(9)])
+        lat = GramLattice(
+            [[-x if i == j else 0 for j in range(9)] for i, x in enumerate(diag)]
+        )
+        classes = enumerate_embeddings(lat, corank, -1)
+        expect = any(
+            _match_rows(e.matrix, la.matmul(e.matrix, f)) is not None for e in classes
+        )
+        hit = exists_equivariant_embedding(lat, f, corank, -1)
+        assert (hit is not None) is expect
+        assert hit == first_stream_match(lat, f, corank, -1)
+        assert_pruned_stream_keeps_every_match(lat, f, corank, -1)
+        if diag == (1,) * 9:
+            assert expect

@@ -58,6 +58,17 @@ def definite_forms(draw):
     return lat
 
 
+def connected(g):
+    """Whether the graph of the nonzero entries of g is connected."""
+    seen, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        new = {j for j, x in enumerate(g[i]) if x} - seen
+        seen |= new
+        todo.extend(new)
+    return len(seen) == len(g)
+
+
 def search_nodes(lat, corank):
     """Nodes of the whole search: the least budget under which it ends."""
     lo, hi = 0, 1
@@ -289,7 +300,10 @@ class TestEnumerate:
     @given(g=definite_forms(), corank=st.integers(0, 2), data=st.data())
     def test_negated_basis_vectors_give_the_same_stream(self, g, corank, data):
         # the search runs on the gauged form, so D.G.D yields the classes of
-        # G times D, in the same order, at the same node count
+        # G times D at the same node count.  The order is the same only for
+        # a connected G: negating an orthogonal summand leaves D.G.D = G, so
+        # both searches are one and the same, while mapping by D can reorder
+        # the classes (G = ((-2,0,1),(0,-3,0),(1,0,-2)), d = (1,-1,1)).
         n = g.rank
         d = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
         flip = la.freeze([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -298,14 +312,41 @@ class TestEnumerate:
         theirs = [
             _canonical_rows(la.matmul(e.matrix, flip)) for e in iter_embeddings(h, corank, -1)
         ]
-        assert theirs == ours
+        assert sorted(theirs) == sorted(ours)
+        if connected(g.matrix):
+            assert theirs == ours
         assert search_nodes(h, corank) == search_nodes(g, corank)
+
+    def test_negated_summand_may_reorder_the_stream(self):
+        # the example of the test above: one stream, reordered by D
+        lat = GramLattice(((-2, 0, 1), (0, -3, 0), (1, 0, -2)))
+        flip = la.freeze([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        assert la.matmul(la.matmul(flip, lat.matrix), flip) == lat.matrix
+        ours = [e.matrix for e in iter_embeddings(lat, 0, -1)]
+        theirs = [_canonical_rows(la.matmul(mat, flip)) for mat in ours]
+        assert sorted(theirs) == sorted(ours) and theirs == ours[::-1]
+
+    def test_half_powers_stop_at_n(self):
+        # a (4, 5)-cycle on 9 coordinates has order 20 > 2 * 9: only f^1 .. f^9
+        images = [(k + 1) % 4 for k in range(4)] + [4 + (k + 1) % 5 for k in range(5)]
+        f = la.freeze([[int(images[j] == i) for j in range(9)] for i in range(9)])
+        powers = _half_powers(_columns(f))
+        assert len(powers) == 9
+        g = f
+        for power in powers:
+            assert power == _columns(g)
+            g = la.matmul(g, f)
 
     def test_budget_charges_scans_past_the_machine_word(self):
         # 2 * 10**20 + 1 values to scan: counted, not sized with len()
         lat = GramLattice(((-(10**40),),))
         with pytest.raises(SearchIncomplete):
             enumerate_embeddings(lat, 0, -1, max_nodes=10)
+
+    def test_too_many_rows_for_the_column_filling_is_value_error(self):
+        # the filling recurses once per searched row: 991 rows is too deep
+        with pytest.raises(ValueError, match="991 rows"):
+            enumerate_embeddings(GramLattice(((-1000,),)), 990, -1)
 
     def test_rows_past_the_trace_are_zero(self):
         # every nonzero row adds at least 1 to trace(-G_2) = 10, so corank
