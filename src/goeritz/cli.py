@@ -30,7 +30,7 @@ from . import _intlinalg as la
 from . import family
 from .diagram import diagram_from_json, goeritz, pre_goeritz
 from .equivariance import find_equivariant_witness
-from .lattice import GramLattice, SearchIncomplete, enumerate_embeddings
+from .lattice import GramLattice, SearchIncomplete, enumerate_embeddings, is_isometry
 from .obstruction import (
     KnotCertificate,
     certificate_from_json,
@@ -165,6 +165,9 @@ def cmd_equivariant(args) -> int:
     lat, action = _resolve_form(args)
     if action is None:
         raise ValueError("equivariant needs an action (preset or \"action\" key)")
+    # checked before the search, which may find no class to check it on
+    if not is_isometry(action, lat):  # ValueError on a wrong shape
+        raise ValueError("f is not an isometry of the source form")
     sign = -1 if args.sign == "-" else 1
     classes = enumerate_embeddings(lat, args.corank, sign, max_nodes=args.budget)
     verdicts = [find_equivariant_witness(e, action) for e in classes]

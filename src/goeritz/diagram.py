@@ -147,8 +147,11 @@ def diagram_from_json(obj: dict) -> CheckerboardDiagram:
     try:
         regions = obj["regions"]
         crossings = tuple((i, j, e) for i, j, e in obj["crossings"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not a triple
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError("malformed diagram JSON: label must be a string")
     la.require_ints([regions] + [x for c in crossings for x in c], "diagram entries")
     # checked before any matrix is sized: each crossing touches two regions
     if regions > 2 * len(crossings):
@@ -156,4 +159,4 @@ def diagram_from_json(obj: dict) -> CheckerboardDiagram:
             f"{regions} regions but {len(crossings)} crossing(s): "
             "some white region touches no crossing"
         )
-    return CheckerboardDiagram(regions, crossings, obj.get("label"))
+    return CheckerboardDiagram(regions, crossings, label)

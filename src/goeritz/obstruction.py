@@ -126,23 +126,24 @@ class SurfaceVerdict:
 
     obstructed=True means no equivariant surface of this type exists (the
     bound fires); obstructed=False means a witness was found; obstructed=None
-    means the check was inapplicable or could not be certified.  vacuous
-    marks the residue-4 Mobius case where no Mobius band exists at all.
+    means the budget ran out, so nothing is claimed.  vacuous marks the
+    residue-4 Mobius case where no Mobius band exists at all.
     """
 
     kind: str
-    applicable: bool
     obstructed: bool | None
-    certifying: bool
+    reason: str
     vacuous: bool = False
-    reason: str = ""
     witnesses: tuple[tuple[int, LatticeEmbedding, SignedPermutation], ...] = ()
+
+    @property
+    def certifying(self) -> bool:
+        return self.obstructed is not None
 
 
 @dataclass(frozen=True)
 class ObstructionReport:
     residue: int
-    cover_sign: CoverSign
     mobius: SurfaceVerdict
     klein: SurfaceVerdict | None
     gamma4p_lower_bound: int
@@ -183,29 +184,11 @@ def _run_problems(
                 )
                 witnesses.append((sign, emb, t))
     except SearchIncomplete as exc:
-        return SurfaceVerdict(
-            kind,
-            applicable=True,
-            obstructed=None,
-            certifying=False,
-            reason=f"enumeration incomplete: {exc}",
-        )
+        return SurfaceVerdict(kind, None, f"enumeration incomplete: {exc}")
     if witnesses:
-        return SurfaceVerdict(
-            kind,
-            applicable=True,
-            obstructed=False,
-            certifying=True,
-            reason="equivariant embedding witness found",
-            witnesses=tuple(witnesses),
-        )
-    return SurfaceVerdict(
-        kind,
-        applicable=True,
-        obstructed=True,
-        certifying=True,
-        reason="no equivariant embedding exists",
-    )
+        reason = "equivariant embedding witness found"
+        return SurfaceVerdict(kind, False, reason, witnesses=tuple(witnesses))
+    return SurfaceVerdict(kind, True, "no equivariant embedding exists")
 
 
 def obstruct_equivariant_mobius(
@@ -220,14 +203,8 @@ def obstruct_equivariant_mobius(
     """
     cover = mobius_cover_sign(cert.residue)
     if cover is CoverSign.MOBIUS_IMPOSSIBLE:
-        return SurfaceVerdict(
-            "mobius",
-            applicable=True,
-            obstructed=True,
-            certifying=True,
-            vacuous=True,
-            reason="residue 4: the knot bounds no Mobius band in the 4-ball",
-        )
+        reason = "residue 4: the knot bounds no Mobius band in the 4-ball"
+        return SurfaceVerdict("mobius", True, reason, vacuous=True)
     minus = (-1, cert.goeritz_minus, cert.action_minus, 1)
     plus = (1, cert.goeritz_plus, cert.action_plus, 1)
     problems = {
@@ -240,17 +217,11 @@ def obstruct_equivariant_mobius(
 
 def obstruct_equivariant_klein(
     cert: KnotCertificate, max_nodes: int | None = None
-) -> SurfaceVerdict:
+) -> SurfaceVerdict | None:
     """Corank-2 obstruction: can the knot bound an equivariant punctured
-    Klein bottle?  Only applicable when the residue is 4."""
+    Klein bottle?  Only applicable when the residue is 4; None otherwise."""
     if cert.residue != 4:
-        return SurfaceVerdict(
-            "klein",
-            applicable=False,
-            obstructed=None,
-            certifying=True,
-            reason=f"residue {cert.residue} != 4: Klein-bottle test inapplicable",
-        )
+        return None
     problems = [
         (1, cert.goeritz_plus, cert.action_plus, 2),
         (-1, cert.goeritz_minus, cert.action_minus, 2),
@@ -267,20 +238,18 @@ def gamma4p_lower_bound(
     obstruction fired, else 1.  Bounds are only claimed from complete
     enumerations; an exhausted budget downgrades the affected step.
     """
-    residue = cert.residue
     mobius = obstruct_equivariant_mobius(cert, max_nodes=max_nodes)
     klein = obstruct_equivariant_klein(cert, max_nodes=max_nodes)
     bound = 1
-    if mobius.obstructed:  # True only on a certifying, applicable verdict
+    if mobius.obstructed:  # True only on a certifying verdict
         bound = 2
-        if klein.obstructed:
+        if klein and klein.obstructed:
             bound = 3
     gap = cert.known_gamma4 is not None and cert.known_gamma4 < bound
     return ObstructionReport(
-        residue=residue,
-        cover_sign=mobius_cover_sign(residue),
+        residue=cert.residue,
         mobius=mobius,
-        klein=klein if klein.applicable else None,
+        klein=klein,
         gamma4p_lower_bound=bound,
         gap_detected=gap,
         name=cert.name,
@@ -348,7 +317,9 @@ def _verdict_json(v: SurfaceVerdict | None):
         return None
     return {
         "kind": v.kind,
-        "applicable": v.applicable,
+        # a verdict exists only where its test applies (the Klein test off
+        # residue 4 is null); the key is kept so the payload does not change
+        "applicable": True,
         "obstructed": v.obstructed,
         "certifying": v.certifying,
         "vacuous": v.vacuous,
@@ -368,7 +339,7 @@ def report_to_json(report: ObstructionReport) -> dict:
     return {
         "name": report.name,
         "residue": report.residue,
-        "cover_sign": report.cover_sign.value,
+        "cover_sign": mobius_cover_sign(report.residue).value,
         "mobius": _verdict_json(report.mobius),
         "klein": _verdict_json(report.klein),
         "gamma4p_lower_bound": report.gamma4p_lower_bound,
@@ -382,7 +353,7 @@ def report_to_text(report: ObstructionReport) -> str:
     rows = [
         ("knot", report.name or "(unnamed)"),
         ("residue (sigma + 4 Arf mod 8)", str(report.residue)),
-        ("cover sign", report.cover_sign.value),
+        ("cover sign", mobius_cover_sign(report.residue).value),
         ("mobius obstructed", _cell(report.mobius)),
         ("klein obstructed", _cell(report.klein) if report.klein else "inapplicable"),
         ("gamma_{4,p} lower bound", str(report.gamma4p_lower_bound)),

@@ -86,6 +86,21 @@ class TestGoeritzVerb:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "diagram",
+        [
+            {"regions": 2, "crossings": [[0, 1]]},
+            {"regions": 2, "crossings": [[0, 1, -1, 1]]},
+            {"regions": 2, "crossings": [[0, 1, -1]], "label": [1, 2]},
+        ],
+        ids=["pair", "quadruple", "list-label"],
+    )
+    def test_malformed_diagram_is_input_error(self, capsys, tmp_path, diagram):
+        path = write_json(tmp_path, "d.json", diagram)
+        code, out, err = run(capsys, "goeritz", "--input", path, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: malformed diagram JSON: ")
+
     @pytest.mark.parametrize("regions", [3, 10**12])
     def test_region_without_crossing_is_input_error(self, capsys, tmp_path, regions):
         # more regions than crossing ends: rejected before a matrix is sized
@@ -194,6 +209,15 @@ class TestEquivariantVerb:
         assert all(c["outcome"] == "refuted_rational" for c in classes)
         assert all(c["certificate"][0]["den"] == 5 for c in classes)
 
+    def test_k2_text_is_frozen(self, capsys):
+        code, out, err = run(capsys, "equivariant", "--preset", "k_n:2")
+        assert (code, err) == (0, "")
+        assert out == (
+            "2 canonical embedding class(es)\n"
+            "class 1: refuted_rational (entry (1,1) = 2/5)\n"
+            "class 2: refuted_rational (entry (1,1) = -2/5)\n"
+        )
+
     def test_file_input_needs_action(self, capsys, tmp_path):
         path = write_json(tmp_path, "f.json", {"matrix": [[-3, 1], [1, -2]]})
         code, _, err = run(capsys, "equivariant", "--input", path)
@@ -215,6 +239,27 @@ class TestEquivariantVerb:
         )
         assert code == 0
         assert len(json.loads(out)["classes"]) == 2
+
+    @pytest.mark.parametrize(
+        "form, argv, message",
+        [
+            ({"matrix": [[-2, 1], [1, -2]], "action": [[1, 5], [0, 1]]}, argv,
+             "f is not an isometry of the source form")
+            for argv in (["--corank", "0"], ["--corank", "1", "--sign", "+"], ["--corank", "1"])
+        ] + [
+            ({"matrix": [[2, 1], [1, 2]], "action": action}, ["--corank", "0"],
+             "action matrix has wrong shape")
+            for action in ([[7]], [])
+        ],
+        ids=["corank-0", "corank-1-plus", "corank-1", "one-by-one-action", "empty-action"],
+    )
+    def test_bad_action_is_input_error_with_or_without_a_class(
+        self, capsys, tmp_path, form, argv, message
+    ):
+        # with no canonical class there is no verdict to check the action on
+        path = write_json(tmp_path, "f.json", form)
+        code, out, err = run(capsys, "equivariant", "--input", path, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("action", [5, [True, False], [[1.0, 0], [0, 1]]])
     def test_malformed_action_is_input_error(self, capsys, tmp_path, action):
@@ -274,6 +319,63 @@ class TestObstructVerb:
         }
         code, out, _ = run(capsys, "obstruct", "--preset", "12a1019", "--format", "json")
         assert code == 0
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, expected",
+        [
+            (  # Mobius obstructed; residue 0 has no Klein test
+                ["--preset", "k_n:2"], 0,
+                {
+                    "action_defaulted": None, "cover_sign": "indeterminate",
+                    "gamma4p_lower_bound": 2, "gap_detected": True, "klein": None,
+                    "known_gamma4": 1, "name": "K_2", "residue": 0,
+                    "mobius": {
+                        "applicable": True, "certifying": True, "kind": "mobius",
+                        "obstructed": True, "reason": "no equivariant embedding exists",
+                        "vacuous": False, "witnesses": [],
+                    },
+                },
+            ),
+            (  # residue 4: Mobius vacuous, Klein obstructed
+                ["--preset", "k_n:3"], 0,
+                {
+                    "action_defaulted": None, "cover_sign": "mobius_impossible",
+                    "gamma4p_lower_bound": 3, "gap_detected": True,
+                    "known_gamma4": 2, "name": "K_3", "residue": 4,
+                    "klein": {
+                        "applicable": True, "certifying": True, "kind": "klein",
+                        "obstructed": True, "reason": "no equivariant embedding exists",
+                        "vacuous": False, "witnesses": [],
+                    },
+                    "mobius": {
+                        "applicable": True, "certifying": True, "kind": "mobius",
+                        "obstructed": True,
+                        "reason": "residue 4: the knot bounds no Mobius band in the 4-ball",
+                        "vacuous": True, "witnesses": [],
+                    },
+                },
+            ),
+            (  # budget exhausted: no claim, exit 2
+                ["--preset", "k_n:2", "--budget", "10"], 2,
+                {
+                    "action_defaulted": None, "cover_sign": "indeterminate",
+                    "gamma4p_lower_bound": 1, "gap_detected": False, "klein": None,
+                    "known_gamma4": 1, "name": "K_2", "residue": 0,
+                    "mobius": {
+                        "applicable": True, "certifying": False, "kind": "mobius",
+                        "obstructed": None,
+                        "reason": "enumeration incomplete: search budget exhausted after 11 nodes",
+                        "vacuous": False, "witnesses": [],
+                    },
+                },
+            ),
+        ],
+        ids=["k_n:2", "k_n:3", "k_n:2-budget-10"],
+    )
+    def test_verdict_states_json_is_frozen(self, capsys, argv, exit_code, expected):
+        code, out, err = run(capsys, "obstruct", *argv, "--format", "json")
+        assert (code, err) == (exit_code, "")
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_12a1019_text(self, capsys):

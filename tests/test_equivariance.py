@@ -102,11 +102,8 @@ def span_first_verdict(phi, f):
     """Oracle: the span test first, then the row match."""
     span = oracle_span_test(phi, f)
     if not span.passed:
-        return EquivarianceVerdict("refuted_rational", certificate=span.certificate)
-    witness = _match_rows(phi.matrix, la.matmul(phi.matrix, f))
-    if witness is None:
-        return EquivarianceVerdict("refuted_search")
-    return EquivarianceVerdict("witness", witness=witness)
+        return EquivarianceVerdict(certificate=span.certificate)
+    return EquivarianceVerdict(witness=_match_rows(phi.matrix, la.matmul(phi.matrix, f)))
 
 
 # |entry| shapes of small vectors by squared norm.  Two shapes of one norm

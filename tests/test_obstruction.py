@@ -148,13 +148,11 @@ class TestMobiusObstruction:
 
 class TestKleinObstruction:
     def test_inapplicable_for_even_n(self):
-        v = obstruct_equivariant_klein(family.make_certificate_Kn(2))
-        assert not v.applicable
-        assert v.obstructed is None
+        assert obstruct_equivariant_klein(family.make_certificate_Kn(2)) is None
 
     def test_k3_obstructed(self):
         v = obstruct_equivariant_klein(family.make_certificate_Kn(3))
-        assert v.applicable and v.obstructed and v.certifying
+        assert v.obstructed and v.certifying
 
 
 class TestGamma4pLowerBound:
