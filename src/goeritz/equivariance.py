@@ -111,10 +111,6 @@ class EquivarianceVerdict:
             return "witness"
         return "refuted_rational" if self.certificate else "refuted_search"
 
-    @property
-    def has_witness(self) -> bool:
-        return self.witness is not None
-
 
 def find_equivariant_witness(
     phi: LatticeEmbedding, f: la.IntMatrix

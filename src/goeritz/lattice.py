@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -284,6 +285,95 @@ def _half_powers(f: list[list[tuple[int, int]]]) -> list[list[list[tuple[int, in
     return powers[: (len(powers) + 1) // 2]
 
 
+def _image(
+    terms: list[tuple[int, int]], cols: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """The column sum of c * cols[i] over the terms (i, c)."""
+    scaled = [cols[i] if c == 1 else tuple(c * x for x in cols[i]) for i, c in terms]
+    return scaled[0] if len(scaled) == 1 else tuple(map(sum, zip(*scaled)))
+
+
+def _extend_rows(
+    ids: list[int], signs: list[int], column: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Ids and signs of rows once each gets its entry of column appended.
+
+    A row's sign is that of its first nonzero entry (0 while it has none),
+    so appending entries leaves the part already sign-normalized as it is.
+    A row's new id numbers the pair of its old id and its new entry times
+    its sign, afresh in each call: if equal ids meant rows equal up to sign
+    before, they do after."""
+    signs = [s or (x > 0) - (x < 0) for s, x in zip(signs, column)]
+    keys = list(zip(ids, map(operator.mul, signs, column)))
+    number = dict(zip(dict.fromkeys(keys), itertools.count()))
+    return list(map(number.__getitem__, keys)), signs
+
+
+def _row_checks(
+    powers: list[list[list[tuple[int, int]]]],
+) -> dict[int, list[tuple[int, int, list]]]:
+    """checks[k]: (g, |J_k|, entering) for each power g (by its index in
+    powers, given as _columns in search order) whose J grows at step k;
+    entering lists each column j that enters J there, with the terms
+    (i, g[i][j]) of its image column.  No check runs at the leaf, where the
+    consumer's full row match decides."""
+    checks: dict[int, list] = {}
+    for g, power in enumerate(powers):
+        # ready[j]: the step after which the image of column j is known
+        ready = [max([j] + [i for i, _ in terms]) for j, terms in enumerate(power)]
+        for k in set(ready) - {len(power) - 1}:
+            entering = [(j, terms) for j, terms in enumerate(power) if ready[j] == k]
+            checks.setdefault(k, []).append((g, sum(r <= k for r in ready), entering))
+    return checks
+
+
+@dataclass(slots=True)
+class _Step:
+    """The search state once the columns of one path are placed.
+
+    cols: the placed columns, in search order; placed[t], suffix[t]: for
+    each placed column open at t (one with a nonzero entry at t or later),
+    in search order, its entry t and the squared norm of its entries after
+    t; tie[t]: row t equals row t-1 on the placed columns; used: the number
+    of nonzero rows, which come first; sides[g]: ids and signs of the rows
+    of both sides of the check for power g, over its J, left rows first
+    (see _extend_rows); untried: the candidates for the next column not yet
+    tried.
+    """
+
+    cols: tuple[tuple[int, ...], ...]
+    placed: list[tuple[int, ...]]
+    suffix: list[tuple[int, ...]]
+    tie: list[bool]
+    used: int
+    sides: list[tuple[list[int], list[int]]]
+    untried: Iterator[tuple[int, ...]] = iter(())
+
+    @classmethod
+    def root(cls, rows: int, powers: int) -> "_Step":
+        """The state before any column is placed."""
+        empty = [0] * (2 * rows)  # ids and signs of both sides' rows while J is empty
+        sides = [(empty, empty)] * powers
+        tie = [t > 0 for t in range(rows)]  # empty rows are equal
+        return cls((), [()] * rows, [()] * rows, tie, 0, sides)
+
+    def placing(self, col: tuple[int, ...], sides: list) -> "_Step":
+        """The state once col is placed, with the given sides."""
+        # norms[t]: the squared norm of col[t:]; col is open at t while it is > 0
+        norms = list(itertools.accumulate((x * x for x in reversed(col)), initial=0))
+        norms.reverse()
+        after = norms[1:]
+        return _Step(
+            self.cols + (col,),
+            [row + (x,) if a else row for row, x, a in zip(self.placed, col, norms)],
+            [row + (b,) if a else row for row, a, b in zip(self.suffix, norms, after)],
+            [tied and col[t] == col[t - 1] for t, tied in enumerate(self.tie)],
+            # a column's entries past the used rows are positive, then zero
+            self.used + sum(1 for x in col[self.used:] if x),
+            sides,
+        )
+
+
 def iter_embeddings(
     lat: GramLattice,
     corank: int,
@@ -304,7 +394,9 @@ def iter_embeddings(
     (these rows come last) takes a value >= 1, or the column ends when its
     norm is spent; a row equal to row t-1 on every placed column (as any two
     zero rows are) takes a value <= row t-1's; every value is pruned by
-    Cauchy-Schwarz against the suffix norms of the placed columns.  Each
+    Cauchy-Schwarz against the suffix norms of the placed columns that are
+    still open (a column with no nonzero entry left has its inner product
+    met already, and is not scanned).  Each
     nonzero row adds at least 1 to trace(sign * G), so only min(m, trace)
     rows are searched; the rest are zero rows added to each class.  Each
     leaf is put back in domain basis order, canonicalized and yielded as it
@@ -318,9 +410,13 @@ def iter_embeddings(
     form as it is but can reorder the classes once those signs are given
     back.
 
-    The columns are kept on an explicit stack; only the filling of a single
-    column recurses, about once per searched row, and a search with more
-    rows than the interpreter's recursion limit allows is a ValueError.
+    The search keeps one _Step per placed column on an explicit stack: the
+    candidates not yet tried, the placed columns with their rows and suffix
+    norms, each extended by one entry when a column is placed, and the row
+    match state below; backtracking drops the step.  Only the filling of a
+    single column recurses, about once per searched row, and a search with
+    more rows than the interpreter's recursion limit allows is a
+    ValueError.
     Every call of that filling counts as one node and every value it scans
     as one more, so max_nodes bounds the work, however large the norms.
     The whole search takes 2,484 nodes for 12a1019 at corank 1, 1,503 for
@@ -340,14 +436,23 @@ def iter_embeddings(
     gauge signs included.  After column k of the search order is placed,
     J_k is the set of placed columns j whose column f^t[:, j] is supported
     on placed columns only, so (phi.f^t)[:, J_k] is known; whenever J_k is
-    larger than J_{k-1} the two sides are sign-normalized and sorted, and
-    the column is dropped if they differ.  A cut subtree holds no class with
+    larger than J_{k-1}, the column is dropped if the two sides differ.
+    The check is incremental.  The columns of J are read in the order they
+    entered it, on both sides, and a row's sign is that of its first
+    nonzero entry in that order, so a growing J only appends entries to the
+    sign-normalized rows.  Each step keeps, for each power, the sign of
+    every row of both sides and an id of its sign-normalized row
+    (_extend_rows); a check builds the image columns of the columns
+    entering J, once, appends their rows' entries, O(rows * |J_k - J_{k-1}|)
+    work, and compares the sorted ids.  A cut subtree holds no class with
     a witness, so the stream is the unpruned one less some classes without
     a witness, in the same order.  At the leaf the consumer's full row
     match decides, so no check runs there.  A check is charged
-    2 * rows * |J_k| nodes, the entries it builds: refuting K_4 at corank 1
-    takes 1,308 nodes, K_5 at corank 2 4,361, and the first 12a1019
-    witness at corank 1 is yielded within 894.  With all the powers,
+    2 * rows * |J_k| nodes, the entries a check from scratch would build,
+    not the work it does, so budgets mean what they meant before the check
+    was incremental: refuting K_4 at corank 1 takes 1,308 nodes, K_5 at
+    corank 2 4,361, and the first 12a1019 witness at corank 1 is yielded
+    within 894.  With all the powers,
     the cost hardly depends on how f sits in the search order: the
     relabellings of K_5 by a permutation of its blocks and basis signs take
     4,132 to 4,516 nodes (6,196 to 8,990 when only f was checked).
@@ -381,23 +486,16 @@ def iter_embeddings(
         if max_nodes is not None and nodes > max_nodes:
             raise SearchIncomplete(nodes)
 
-    cols: list[tuple[int, ...]] = []  # placed columns, in search order
-
-    def candidates() -> list[tuple[int, ...]]:
-        """Every admissible next column after cols."""
-        j = len(cols)
-        placed = [tuple(col[t] for col in cols) for t in range(rows)]
-        used = sum(map(any, placed))  # the nonzero rows, which come first
-        tie = [t > 0 and placed[t] == placed[t - 1] for t in range(rows)]
-        suffix = [  # suffix[i][t]: squared norm of cols[i][t:]
-            list(itertools.accumulate((x * x for x in reversed(col)), initial=0))[::-1]
-            for col in cols
-        ]
-        targets = [q[i][j] for i in range(j)]
+    def candidates(step: _Step) -> list[tuple[int, ...]]:
+        """Every admissible column after the placed columns of step."""
+        j = len(step.cols)
+        placed, suffix, tie, used = step.placed, step.suffix, step.tie, step.used
         out: list[tuple[int, ...]] = []
         vec = [0] * rows
 
-        def fill(t: int, rem: int, ips: list[int]):
+        def fill(t: int, rem: int, gaps: list[int]):
+            # gaps: for each placed column open at t, what the inner product
+            # with it still lacks
             if t >= used and rem == 0:
                 tick()
                 out.append(tuple(vec))
@@ -409,65 +507,67 @@ def iter_embeddings(
             lo = 1 if t >= used else -bound
             hi = min(bound, vec[t - 1]) if tie[t] else bound
             tick(max(hi - lo + 1, 0) + 1)  # this call and the values it scans
+            row, norms = placed[t], suffix[t]
             for v in range(lo, hi + 1):
                 rem2 = rem - v * v
-                for i in range(j):
-                    gap = targets[i] - (ips[i] + v * cols[i][t])
-                    if gap * gap > rem2 * suffix[i][t + 1]:
+                for gap, x, s in zip(gaps, row, norms):  # Cauchy-Schwarz
+                    gap -= v * x
+                    if gap * gap > rem2 * s:
                         break
                 else:
                     vec[t] = v
-                    fill(t + 1, rem2, [ip + v * cols[i][t] for i, ip in enumerate(ips)])
+                    # a column closed after t has a zero gap now, and keeps it
+                    left = [gap - v * x for gap, x, s in zip(gaps, row, norms) if s]
+                    fill(t + 1, rem2, left)
                     vec[t] = 0
 
         try:
-            fill(0, q[j][j], [0] * j)
+            fill(0, q[j][j], q[j][:j])
         except RecursionError:
             raise ValueError(
                 f"the search needs {rows} rows, too many for its column filling"
             ) from None
         return out
 
-    # checks[k]: for each power g of h, the action in search coordinates,
-    # whose J_k grows at step k, each column j of J_k with the terms
-    # (i, g[i][j]) of its image column
-    checks: dict[int, list[list[tuple[int, list[tuple[int, int]]]]]] = {}
+    powers = []
     if action is not None:
         h = [[d[a] * d[b] * action[a][b] for b in order] for a in order]  # like q
-        for power in _half_powers(_columns(h)):
-            # ready[j]: the step after which the image of column j is known
-            ready = [max([j] + [i for i, _ in terms]) for j, terms in enumerate(power)]
-            for k in set(ready) - {n - 1}:  # at the leaf the consumer decides
-                checks.setdefault(k, []).append(
-                    [(j, terms) for j, terms in enumerate(power) if ready[j] <= k]
-                )
+        powers = _half_powers(_columns(h))
+    checks = _row_checks(powers)
 
-    def rows_match(placed: list[tuple[int, ...]]) -> bool:
-        """For each check at this step, the rows of psi[:, J_k] and
-        (psi.g)[:, J_k] agree up to sign and order; each check is charged as
-        the 2 * rows * |J_k| entries it builds."""
-        for check in checks[len(placed) - 1]:
-            tick(2 * rows * len(check))
-            left = [placed[j] for j, _ in check]
-            right = [
-                [sum(c * placed[i][t] for i, c in terms) for t in range(rows)]
-                for _, terms in check
-            ]
-            if _canonical_rows(zip(*left)) != _canonical_rows(zip(*right)):
-                return False
-        return True
+    def matched_sides(step: _Step, col: tuple[int, ...]) -> list | None:
+        """The sides of step once col is placed, or None when the rows of
+        psi[:, J_k] and (psi.g)[:, J_k] differ for a power g checked at
+        this step.  Each check is charged 2 * rows * |J_k|, the entries a
+        check from scratch would build."""
+        cols = step.cols + (col,)
+        sides = list(step.sides)
+        for g, size, entering in checks[len(step.cols)]:
+            tick(2 * rows * size)
+            ids, signs = sides[g]
+            for j, terms in entering:  # both sides: psi[:, j], then (psi.g)[:, j]
+                ids, signs = _extend_rows(ids, signs, cols[j] + _image(terms, cols))
+            if sorted(ids[:rows]) != sorted(ids[rows:]):
+                return None
+            sides[g] = (ids, signs)
+        return sides
 
-    stack = [iter(candidates())]  # stack[k]: untried candidates for column k
+    root = _Step.root(rows, len(powers))
+    root.untried = iter(candidates(root))
+    stack = [root]  # stack[k]: the state once k columns are placed
     while stack:
-        col = next(stack[-1], None)
+        step = stack[-1]
+        col = next(step.untried, None)
         if col is None:
             stack.pop()
-            if cols:
-                cols.pop()
-        elif len(cols) in checks and not rows_match(cols + [col]):
             continue
-        elif len(cols) == n - 1:
-            by_domain = dict(zip(order, cols + [col]))
+        sides = step.sides
+        if len(step.cols) in checks:
+            sides = matched_sides(step, col)
+            if sides is None:
+                continue
+        if len(step.cols) == n - 1:
+            by_domain = dict(zip(order, step.cols + (col,)))
             mat = tuple(zip(*(
                 by_domain[j] if d[j] > 0 else tuple(-x for x in by_domain[j])
                 for j in range(n)
@@ -477,8 +577,9 @@ def iter_embeddings(
                 _canonical_rows(mat) + ((0,) * n,) * (m - rows), lat, target
             )
         else:
-            cols.append(col)
-            stack.append(iter(candidates()))
+            child = step.placing(col, sides)
+            child.untried = iter(candidates(child))
+            stack.append(child)
 
 
 def enumerate_embeddings(

@@ -202,10 +202,13 @@ def test_criterion_7_signed_permutation_exhaustion():
         def exhaustive(phi_mat, f):
             m = len(phi_mat)
             rhs = la.matmul(phi_mat, f)
+            # row r of T.phi is signs[r] * phi[perm[r]], as in
+            # SignedPermutation.apply_rows, built here from plain tuples
+            signed = {1: phi_mat, -1: la.neg(phi_mat)}
             for perm in itertools.permutations(range(m)):
                 for signs in itertools.product((1, -1), repeat=m):
-                    t = SignedPermutation(perm, signs)
-                    if t.apply_rows(phi_mat) == rhs:
+                    if tuple(signed[s][k] for k, s in zip(perm, signs)) == rhs:
+                        assert SignedPermutation(perm, signs).apply_rows(phi_mat) == rhs
                         return True
             return False
 

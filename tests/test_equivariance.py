@@ -241,11 +241,16 @@ ROOT_FORMS = {
 }
 
 
+def coxeter_element(p):
+    """The product of the simple reflections, in basis order."""
+    return functools.reduce(la.matmul, [reflection(p, j) for j in range(len(p))])
+
+
 def root_form_cases():
     for name, p in ROOT_FORMS.items():
         reflections = [reflection(p, j) for j in range(len(p))]
         # each simple reflection, and their product: a Coxeter element
-        actions = reflections + [functools.reduce(la.matmul, reflections)]
+        actions = reflections + [coxeter_element(p)]
         if name == "D_4":  # triality after the central reflection: no witness
             actions.append(la.matmul(la.permutation_matrix((2, 1, 3, 0)), reflections[1]))
         for k, f in enumerate(actions):
@@ -436,7 +441,7 @@ class TestFindWitness:
         for phi, f in cases:
             calls.clear()
             v = find_equivariant_witness(phi, f)
-            assert len(calls) == (0 if v.has_witness else 1)
+            assert len(calls) == (0 if v.witness is not None else 1)
 
     def test_witness_order_fixes_span(self):
         # a witness for an order-p action fixes every image vector at power p
@@ -482,7 +487,7 @@ class TestFindWitness:
         for n in (2, 3):
             f = family.action_fn(n)
             for phi in family.family_embeddings(n):
-                assert not find_equivariant_witness(phi, f).has_witness
+                assert find_equivariant_witness(phi, f).witness is None
                 assert not exhaustive_witness_exists(phi.matrix, f)
 
 
@@ -567,6 +572,32 @@ class TestExistsEquivariant:
             exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1307)
         with pytest.raises(SearchIncomplete):
             exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1000)
+
+    @pytest.mark.parametrize("n, nodes", [(5, 4361), (7, 16706), (9, 52337)])
+    def test_kn_refutation_node_counts(self, n, nodes):
+        # the row-match charges included; the count is exact, so a change
+        # to how the checks are computed must keep every cut and every charge
+        lat, f = family.goeritz_Gn(n), family.action_fn(n)
+        assert exists_equivariant_embedding(lat, f, 2, -1, max_nodes=nodes) is None
+        with pytest.raises(SearchIncomplete):
+            exists_equivariant_embedding(lat, f, 2, -1, max_nodes=nodes - 1)
+
+    @pytest.mark.parametrize(
+        "lat, f, corank, sign, classes, nodes",
+        [pytest.param(G_MINUS, family.ACTION_12A1019, 1, -1, 2, 2150, id="12a1019")]
+        + [  # D_4-4 of root_form_cases: image columns with several terms
+            pytest.param(
+                GramLattice(ROOT_FORMS["D_4"]), coxeter_element(ROOT_FORMS["D_4"]),
+                corank, 1, 3, nodes, id=f"D_4-4-corank-{corank}",
+            )
+            for corank, nodes in [(0, 216), (1, 246), (2, 276)]
+        ],
+    )
+    def test_whole_pruned_stream_node_count(self, lat, f, corank, sign, classes, nodes):
+        stream = iter_embeddings(lat, corank, sign, max_nodes=nodes, action=f)
+        assert len(list(stream)) == classes
+        with pytest.raises(SearchIncomplete):
+            list(iter_embeddings(lat, corank, sign, max_nodes=nodes - 1, action=f))
 
     def test_k4_relabellings_refute_at_nearly_the_same_cost(self):
         # every permutation of the blocks of K_4 with any basis signs
