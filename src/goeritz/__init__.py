@@ -24,8 +24,6 @@ from .lattice import (
     SignedPermutation,
     StandardTarget,
     brute_force_embeddings,
-    canonicalize,
-    embeddings_equivalent,
     enumerate_embeddings,
     gram_of,
     is_definite,

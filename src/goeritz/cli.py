@@ -199,10 +199,7 @@ def cmd_obstruct(args) -> int:
         cert = certificate_from_json(_load_json(args.input))
     report = gamma4p_lower_bound(cert, max_nodes=args.budget)
     _emit(args, report_to_json(report), report_to_text(report))
-    conclusive = report.mobius.certifying and (
-        report.klein is None or report.klein.certifying
-    )
-    return 0 if conclusive else 2
+    return 0 if report.conclusive else 2
 
 
 def cmd_family(args) -> int:

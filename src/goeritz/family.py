@@ -86,12 +86,7 @@ def goeritz_Gn(n: int) -> GramLattice:
     Goeritz form of K_n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    mat = [[0] * (2 * n) for _ in range(2 * n)]
-    for k in range(n):
-        for a in range(2):
-            for b in range(2):
-                mat[2 * k + a][2 * k + b] = _BLOCK[a][b]
-    return GramLattice(la.freeze(mat))
+    return GramLattice(_block_sum([_BLOCK] * n, 2 * n, 2 * n))
 
 
 def action_fn(n: int) -> la.IntMatrix:
@@ -167,18 +162,13 @@ def family_embeddings(n: int) -> tuple[LatticeEmbedding, ...]:
     if n < 1:
         raise ValueError("n must be at least 1")
     source = goeritz_Gn(n)
-    out = []
-    if n % 2 == 0:
-        target = StandardTarget(2 * n + 1, -1)
-        for choice in itertools.product((_PSI1, _PSI2), repeat=n // 2):
-            mat = _block_sum(list(choice), 2 * n + 1, 2 * n)
-            out.append(LatticeEmbedding(mat, source, target))
-    else:
-        target = StandardTarget(2 * n + 2, -1)
-        for choice in itertools.product((_PSI1, _PSI2), repeat=(n - 1) // 2):
-            mat = _block_sum(list(choice) + [_PSI3], 2 * n + 2, 2 * n)
-            out.append(LatticeEmbedding(mat, source, target))
-    return tuple(out)
+    rank = 2 * n + 1 + n % 2
+    target = StandardTarget(rank, -1)
+    tail = [_PSI3] * (n % 2)
+    return tuple(
+        LatticeEmbedding(_block_sum(list(choice) + tail, rank, 2 * n), source, target)
+        for choice in itertools.product((_PSI1, _PSI2), repeat=n // 2)
+    )
 
 
 def make_certificate_Kn(n: int) -> KnotCertificate:

@@ -92,10 +92,6 @@ class SignedPermutation:
         if len(self.signs) != len(self.perm) or any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +/-1, one per coordinate")
 
-    @classmethod
-    def identity(cls, m: int) -> "SignedPermutation":
-        return cls(tuple(range(m)), (1,) * m)
-
     @property
     def size(self) -> int:
         return len(self.perm)
@@ -144,35 +140,19 @@ def gram_of(phi: la.IntMatrix, target: StandardTarget) -> la.IntMatrix:
     return la.scale(target.sign, la.matmul(la.transpose(phi), phi))
 
 
-def canonicalize(phi: LatticeEmbedding) -> LatticeEmbedding:
-    """Minimal orbit representative under signed permutations of the target.
+def _sign_normalized(row: tuple[int, ...]) -> tuple[int, ...]:
+    return min(row, tuple(-x for x in row))
+
+
+def _canonical_rows(mat: la.IntMatrix) -> la.IntMatrix:
+    """Minimal orbit representative under signed permutations of the rows.
 
     Frozen rule: replace each row by the lexicographically smaller of itself
     and its negation, then sort the rows ascending.  This is constant on
     orbits and idempotent because row permutations and row negations act
     independently.
     """
-    return LatticeEmbedding(_canonical_rows(phi.matrix), phi.source, phi.target)
-
-
-def _sign_normalized(row: tuple[int, ...]) -> tuple[int, ...]:
-    return min(row, tuple(-x for x in row))
-
-
-def _canonical_rows(mat: la.IntMatrix) -> la.IntMatrix:
     return tuple(sorted(map(_sign_normalized, mat)))
-
-
-def embeddings_equivalent(
-    a: LatticeEmbedding, b: LatticeEmbedding
-) -> SignedPermutation | None:
-    """A signed permutation T with T.a = b, if the embeddings are isomorphic."""
-    if a.source.matrix != b.source.matrix or a.target != b.target:
-        raise ValueError("embeddings must share source and target")
-    t = _match_rows(a.matrix, b.matrix)
-    if t is not None:
-        assert t.apply_rows(a.matrix) == b.matrix
-    return t
 
 
 def _match_rows(a: la.IntMatrix, b: la.IntMatrix) -> SignedPermutation | None:
@@ -449,13 +429,12 @@ def iter_embeddings(
     a witness, in the same order.  At the leaf the consumer's full row
     match decides, so no check runs there.  A check is charged
     2 * rows * |J_k| nodes, the entries a check from scratch would build,
-    not the work it does, so budgets mean what they meant before the check
-    was incremental: refuting K_4 at corank 1 takes 1,308 nodes, K_5 at
+    not the work it does, so the charged counts do not depend on how the
+    check is implemented: refuting K_4 at corank 1 takes 1,308 nodes, K_5 at
     corank 2 4,361, and the first 12a1019 witness at corank 1 is yielded
-    within 894.  With all the powers,
-    the cost hardly depends on how f sits in the search order: the
-    relabellings of K_5 by a permutation of its blocks and basis signs take
-    4,132 to 4,516 nodes (6,196 to 8,990 when only f was checked).
+    within 894.  With all the powers, the cost hardly depends on how f sits
+    in the search order: the relabellings of K_5 by a permutation of its
+    blocks and basis signs take 4,132 to 4,516 nodes.
 
     Raises SearchIncomplete when the consumer asks for a class past
     max_nodes; yields nothing when the form is not sign-definite; raises

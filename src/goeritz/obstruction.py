@@ -143,14 +143,34 @@ class SurfaceVerdict:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    residue: int
+    """A certificate and its two verdicts; the bound, the gap and
+    conclusiveness are derived from them, so they cannot disagree.
+
+    The lower bound is 3 if the Klein obstruction fired, else 2 if the
+    Mobius obstruction fired, else 1.  obstructed is True only on a
+    certifying verdict, so bounds are only claimed from complete
+    enumerations.
+    """
+
+    cert: KnotCertificate
     mobius: SurfaceVerdict
     klein: SurfaceVerdict | None
-    gamma4p_lower_bound: int
-    gap_detected: bool
-    name: str = ""
-    known_gamma4: int | None = None
-    action_defaulted: str | None = None
+
+    @property
+    def gamma4p_lower_bound(self) -> int:
+        if not self.mobius.obstructed:
+            return 1
+        return 3 if self.klein and self.klein.obstructed else 2
+
+    @property
+    def gap_detected(self) -> bool:
+        known = self.cert.known_gamma4
+        return known is not None and known < self.gamma4p_lower_bound
+
+    @property
+    def conclusive(self) -> bool:
+        """Every verdict is certifying (the CLI exits 0, else 2)."""
+        return self.mobius.certifying and (self.klein is None or self.klein.certifying)
 
 
 def _run_problems(
@@ -234,27 +254,13 @@ def gamma4p_lower_bound(
 ) -> ObstructionReport:
     """Full pipeline: residue, Mobius test, Klein test where applicable.
 
-    The lower bound is 3 if the Klein obstruction fired, else 2 if the Mobius
-    obstruction fired, else 1.  Bounds are only claimed from complete
-    enumerations; an exhausted budget downgrades the affected step.
+    An exhausted budget leaves the affected verdict non-certifying, which
+    lowers the report's bound (see ObstructionReport).
     """
-    mobius = obstruct_equivariant_mobius(cert, max_nodes=max_nodes)
-    klein = obstruct_equivariant_klein(cert, max_nodes=max_nodes)
-    bound = 1
-    if mobius.obstructed:  # True only on a certifying verdict
-        bound = 2
-        if klein and klein.obstructed:
-            bound = 3
-    gap = cert.known_gamma4 is not None and cert.known_gamma4 < bound
     return ObstructionReport(
-        residue=cert.residue,
-        mobius=mobius,
-        klein=klein,
-        gamma4p_lower_bound=bound,
-        gap_detected=gap,
-        name=cert.name,
-        known_gamma4=cert.known_gamma4,
-        action_defaulted=cert.action_defaulted,
+        cert,
+        obstruct_equivariant_mobius(cert, max_nodes=max_nodes),
+        obstruct_equivariant_klein(cert, max_nodes=max_nodes),
     )
 
 
@@ -336,28 +342,30 @@ def _verdict_json(v: SurfaceVerdict | None):
 
 
 def report_to_json(report: ObstructionReport) -> dict:
+    cert = report.cert
     return {
-        "name": report.name,
-        "residue": report.residue,
-        "cover_sign": mobius_cover_sign(report.residue).value,
+        "name": cert.name,
+        "residue": cert.residue,
+        "cover_sign": mobius_cover_sign(cert.residue).value,
         "mobius": _verdict_json(report.mobius),
         "klein": _verdict_json(report.klein),
         "gamma4p_lower_bound": report.gamma4p_lower_bound,
-        "known_gamma4": report.known_gamma4,
+        "known_gamma4": cert.known_gamma4,
         "gap_detected": report.gap_detected,
-        "action_defaulted": report.action_defaulted,
+        "action_defaulted": cert.action_defaulted,
     }
 
 
 def report_to_text(report: ObstructionReport) -> str:
+    cert = report.cert
     rows = [
-        ("knot", report.name or "(unnamed)"),
-        ("residue (sigma + 4 Arf mod 8)", str(report.residue)),
-        ("cover sign", mobius_cover_sign(report.residue).value),
+        ("knot", cert.name or "(unnamed)"),
+        ("residue (sigma + 4 Arf mod 8)", str(cert.residue)),
+        ("cover sign", mobius_cover_sign(cert.residue).value),
         ("mobius obstructed", _cell(report.mobius)),
         ("klein obstructed", _cell(report.klein) if report.klein else "inapplicable"),
         ("gamma_{4,p} lower bound", str(report.gamma4p_lower_bound)),
-        ("known gamma_4", str(report.known_gamma4)),
+        ("known gamma_4", str(cert.known_gamma4)),
         ("gap detected", "yes" if report.gap_detected else "no"),
     ]
     width = max(len(k) for k, _ in rows)

@@ -374,7 +374,7 @@ class TestFindWitness:
     def test_identity_action_identity_witness(self):
         phi = family.phi_embeddings_12a1019()[0]
         v = find_equivariant_witness(phi, la.identity(6))
-        assert v.witness == SignedPermutation.identity(7)
+        assert v.witness == SignedPermutation(tuple(range(7)), (1,) * 7)
 
     def test_k2_refuted_with_2_5_certificate(self):
         phi = family.family_embeddings(2)[0]

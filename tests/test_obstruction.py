@@ -10,6 +10,8 @@ from goeritz.lattice import GramLattice, enumerate_embeddings, iter_embeddings
 from goeritz.obstruction import (
     CoverSign,
     KnotCertificate,
+    ObstructionReport,
+    SurfaceVerdict,
     certificate_from_json,
     congruence_residue,
     gamma4p_lower_bound,
@@ -159,14 +161,14 @@ class TestGamma4pLowerBound:
     def test_k2_bound_2_gap(self):
         rep = gamma4p_lower_bound(family.make_certificate_Kn(2))
         assert rep.gamma4p_lower_bound == 2
-        assert rep.known_gamma4 == 1
+        assert rep.cert.known_gamma4 == 1
         assert rep.gap_detected
         assert rep.klein is None
 
     def test_k3_bound_3_gap(self):
         rep = gamma4p_lower_bound(family.make_certificate_Kn(3))
         assert rep.gamma4p_lower_bound == 3
-        assert rep.known_gamma4 == 2
+        assert rep.cert.known_gamma4 == 2
         assert rep.gap_detected
         assert rep.mobius.vacuous
 
@@ -210,6 +212,49 @@ class TestGamma4pLowerBound:
             assert emb.target.sign == sign
         if cert.name == "12a1019":
             assert [w[0] for w in rep.mobius.witnesses] == [-1, 1]
+
+    # (mobius, klein) -> (bound, gap, conclusive); K_2 (known 1) where
+    # there is no Klein verdict, K_3 (known 2) elsewhere
+    VERDICT_STATES = {
+        ("obstructed", None): (2, True, True),
+        ("vacuous", None): (2, True, True),
+        ("witness", None): (1, False, True),
+        ("budget", None): (1, False, False),
+        ("obstructed", "obstructed"): (3, True, True),
+        ("vacuous", "obstructed"): (3, True, True),
+        ("witness", "obstructed"): (1, False, True),
+        ("budget", "obstructed"): (1, False, False),
+        ("obstructed", "witness"): (2, False, True),
+        ("vacuous", "witness"): (2, False, True),
+        ("witness", "witness"): (1, False, True),
+        ("budget", "witness"): (1, False, False),
+        ("obstructed", "budget"): (2, False, False),
+        ("vacuous", "budget"): (2, False, False),
+        ("witness", "budget"): (1, False, False),
+        ("budget", "budget"): (1, False, False),
+    }
+
+    @staticmethod
+    def verdict(kind, state):
+        obstructed = {"obstructed": True, "vacuous": True, "witness": False}
+        return SurfaceVerdict(
+            kind, obstructed.get(state), state, vacuous=state == "vacuous"
+        )
+
+    @pytest.mark.parametrize(
+        "states, derived",
+        VERDICT_STATES.items(),
+        ids=[f"{m}-{k}" for m, k in VERDICT_STATES],
+    )
+    def test_derived_fields_on_every_verdict_state(self, states, derived):
+        mobius, klein = states
+        cert = family.make_certificate_Kn(2 if klein is None else 3)
+        rep = ObstructionReport(
+            cert,
+            self.verdict("mobius", mobius),
+            None if klein is None else self.verdict("klein", klein),
+        )
+        assert (rep.gamma4p_lower_bound, rep.gap_detected, rep.conclusive) == derived
 
     def test_negation_symmetry_of_sign_tests(self):
         # G_+ = -G_- with equal actions: both sign problems see the same classes
