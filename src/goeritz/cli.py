@@ -41,8 +41,14 @@ from .obstruction import (
 )
 
 DEFAULT_BUDGET = 10**8
-# Every class carries all n + corank rows; 10**6 still fits in memory.
+# Every class carries all n + corank rows: at corank 10**6, equivariant
+# --preset k_n:2 prints its text in 19-24 s with a 323-331 MB peak (2 cores,
+# Python 3.11), and the work grows linearly.
 MAX_CORANK = 10**6
+# equivariant --format json prints each witness as an (n + corank)^2 matrix:
+# for k_n:2, n + corank = 1005 prints 27 MB in 1.5 s (205 MB peak) and
+# 2005 prints 105 MB in 4.8 s (766 MB peak).
+MAX_EQUIVARIANT_JSON_RANK = 1000
 # family --format json lists 2 ** (n // 2) matrices of size (2n + 1) x 2n:
 # k_n:20 prints 19 MB in 5 s, k_n:22 46 MB in 15 s.
 MAX_FAMILY_JSON_N = 20
@@ -77,10 +83,6 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
     except RecursionError:
         raise ValueError(f"{path}: invalid JSON: nested too deeply")
-
-
-def _matrix_rows(mat) -> list[list[int]]:
-    return [list(row) for row in mat]
 
 
 def _form_text(label: str, mat) -> str:
@@ -133,8 +135,8 @@ def cmd_goeritz(args) -> int:
         args,
         {
             "label": d.label,
-            "pre_goeritz": _matrix_rows(pg),
-            "goeritz": _matrix_rows(g.matrix),
+            "pre_goeritz": pg,
+            "goeritz": g.matrix,
         },
         _form_text("pre-Goeritz:", pg) + "\n" + _form_text("Goeritz:", g.matrix),
     )
@@ -148,10 +150,10 @@ def cmd_embed(args) -> int:
     _emit(
         args,
         {
-            "source": _matrix_rows(lat.matrix),
+            "source": lat.matrix,
             "target": {"rank": lat.rank + args.corank, "sign": sign},
             "canonical": True,
-            "classes": [_matrix_rows(e.matrix) for e in classes],
+            "classes": [e.matrix for e in classes],
         },
         "\n".join(
             [f"{len(classes)} canonical embedding class(es)"]
@@ -168,15 +170,22 @@ def cmd_equivariant(args) -> int:
     # checked before the search, which may find no class to check it on
     if not is_isometry(action, lat):  # ValueError on a wrong shape
         raise ValueError("f is not an isometry of the source form")
+    rank = lat.rank + args.corank
+    if args.format == "json" and rank > MAX_EQUIVARIANT_JSON_RANK:
+        raise ValueError(
+            f"equivariant --format json prints each witness as a {rank} x {rank} "
+            f"matrix; n + corank must be at most {MAX_EQUIVARIANT_JSON_RANK} "
+            "(text prints the outcomes)"
+        )
     sign = -1 if args.sign == "-" else 1
     classes = enumerate_embeddings(lat, args.corank, sign, max_nodes=args.budget)
     verdicts = [find_equivariant_witness(e, action) for e in classes]
     out_json = []
     out_text = [f"{len(classes)} canonical embedding class(es)"]
     for k, (emb, v) in enumerate(zip(classes, verdicts)):
-        entry = {"class": _matrix_rows(emb.matrix), "outcome": v.outcome}
-        if v.witness is not None:
-            entry["witness"] = _matrix_rows(v.witness.matrix())
+        entry = {"class": emb.matrix, "outcome": v.outcome}
+        if v.witness is not None and args.format == "json":  # (n + corank)^2 entries
+            entry["witness"] = v.witness.matrix()
         if v.certificate:
             entry["certificate"] = [
                 {"row": i, "col": j, "num": x.numerator, "den": x.denominator}
@@ -206,9 +215,9 @@ def cmd_family(args) -> int:
     cert = _parse_preset(args.preset)
     payload = {
         "name": cert.name,
-        "goeritz_minus": _matrix_rows(cert.goeritz_minus.matrix),
-        "goeritz_plus": _matrix_rows(cert.goeritz_plus.matrix),
-        "action_minus": _matrix_rows(cert.action_minus),
+        "goeritz_minus": cert.goeritz_minus.matrix,
+        "goeritz_plus": cert.goeritz_plus.matrix,
+        "action_minus": cert.action_minus,
         "period": cert.period,
         "signature": cert.signature,
         "arf": cert.arf,
@@ -230,7 +239,7 @@ def cmd_family(args) -> int:
                     f"embeddings; k_n needs n <= {MAX_FAMILY_JSON_N} (text prints the count)"
                 )
             payload["closed_form_embeddings"] = [
-                _matrix_rows(e.matrix) for e in family.family_embeddings(n)
+                e.matrix for e in family.family_embeddings(n)
             ]
     _emit(args, payload, "\n".join(text))
     return 0

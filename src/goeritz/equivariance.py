@@ -80,8 +80,11 @@ def span_restriction_test(phi: LatticeEmbedding, f: la.IntMatrix) -> SpanTestRes
     f = la.freeze(f)
     if not is_isometry(f, phi.source):
         raise ValueError("f is not an isometry of the source form")
-    basis = saturation_basis(phi.matrix)
-    coords = la.hnf_coordinates(basis, phi.matrix)  # basis @ coords = phi
+    # zero rows lie outside the span: the saturation, its basis on the other
+    # rows and the coordinates are the same without them
+    image = tuple(filter(any, phi.matrix))
+    basis = saturation_basis(image)
+    coords = la.hnf_coordinates(basis, image)  # basis @ coords = image
     # the induced map M solves M @ coords = coords @ f; solve the transpose
     num, det = la.solve_fraction_free(
         la.transpose(coords), la.transpose(la.matmul(coords, f))

@@ -165,15 +165,15 @@ def _match_rows(a: la.IntMatrix, b: la.IntMatrix) -> SignedPermutation | None:
     identity on coordinates outside the span.
     """
     pool: dict[tuple[int, ...], list[int]] = {}
-    for k, row in enumerate(a):
-        pool.setdefault(_sign_normalized(row), []).append(k)
+    for k in reversed(range(len(a))):  # so that pop() takes the lowest index
+        pool.setdefault(_sign_normalized(a[k]), []).append(k)
     perm = [0] * len(a)
     signs = [1] * len(a)
     for r, row in enumerate(b):
         cands = pool.get(_sign_normalized(row))
         if not cands:
             return None
-        k = cands.pop(0)
+        k = cands.pop()
         perm[r] = k
         if a[k] == row:
             signs[r] = 1
@@ -314,44 +314,24 @@ class _Step:
     cols: the placed columns, in search order; placed[t], suffix[t]: for
     each placed column open at t (one with a nonzero entry at t or later),
     in search order, its entry t and the squared norm of its entries after
-    t; tie[t]: row t equals row t-1 on the placed columns; used: the number
-    of nonzero rows, which come first; sides[g]: ids and signs of the rows
-    of both sides of the check for power g, over its J, left rows first
-    (see _extend_rows); untried: the candidates for the next column not yet
-    tried.
+    t; sides[g]: ids and signs of the rows of both sides of the check for
+    power g, over its J, left rows first (see _extend_rows); untried: the
+    candidates for the next column not yet tried.
+
+    Two row facts are read off placed.  Row t is zero on the placed columns
+    iff placed[t] is empty: a nonzero entry keeps its column open, and the
+    rows after a zero row are zero (the zero rows come last).  For t >= 1,
+    rows t and t-1 agree on the placed columns iff placed[t] == placed[t-1]:
+    a column open at t-1 but not at t has its last nonzero entry in row t-1,
+    so equal rows have the same open columns, and both rows are zero on the
+    others.
     """
 
     cols: tuple[tuple[int, ...], ...]
     placed: list[tuple[int, ...]]
     suffix: list[tuple[int, ...]]
-    tie: list[bool]
-    used: int
     sides: list[tuple[list[int], list[int]]]
     untried: Iterator[tuple[int, ...]] = iter(())
-
-    @classmethod
-    def root(cls, rows: int, powers: int) -> "_Step":
-        """The state before any column is placed."""
-        empty = [0] * (2 * rows)  # ids and signs of both sides' rows while J is empty
-        sides = [(empty, empty)] * powers
-        tie = [t > 0 for t in range(rows)]  # empty rows are equal
-        return cls((), [()] * rows, [()] * rows, tie, 0, sides)
-
-    def placing(self, col: tuple[int, ...], sides: list) -> "_Step":
-        """The state once col is placed, with the given sides."""
-        # norms[t]: the squared norm of col[t:]; col is open at t while it is > 0
-        norms = list(itertools.accumulate((x * x for x in reversed(col)), initial=0))
-        norms.reverse()
-        after = norms[1:]
-        return _Step(
-            self.cols + (col,),
-            [row + (x,) if a else row for row, x, a in zip(self.placed, col, norms)],
-            [row + (b,) if a else row for row, a, b in zip(self.suffix, norms, after)],
-            [tied and col[t] == col[t - 1] for t, tied in enumerate(self.tie)],
-            # a column's entries past the used rows are positive, then zero
-            self.used + sum(1 for x in col[self.used:] if x),
-            sides,
-        )
 
 
 def iter_embeddings(
@@ -393,9 +373,11 @@ def iter_embeddings(
     The search keeps one _Step per placed column on an explicit stack: the
     candidates not yet tried, the placed columns with their rows and suffix
     norms, each extended by one entry when a column is placed, and the row
-    match state below; backtracking drops the step.  Only the filling of a
-    single column recurses, about once per searched row, and a search with
-    more rows than the interpreter's recursion limit allows is a
+    match state below; backtracking drops the step.  One transition makes
+    each step from its parent and a candidate: it runs that step's row
+    match checks and returns the child, or None on a cut.  Only the filling
+    of a single column recurses, about once per searched row, and a search
+    with more rows than the interpreter's recursion limit allows is a
     ValueError.
     Every call of that filling counts as one node and every value it scans
     as one more, so max_nodes bounds the work, however large the norms.
@@ -468,14 +450,18 @@ def iter_embeddings(
     def candidates(step: _Step) -> list[tuple[int, ...]]:
         """Every admissible column after the placed columns of step."""
         j = len(step.cols)
-        placed, suffix, tie, used = step.placed, step.suffix, step.tie, step.used
+        placed, suffix = step.placed, step.suffix
+        # tie[t]: row t equals row t-1 on the placed columns, once per step
+        # rather than once per call of fill
+        tie = [t > 0 and placed[t] == placed[t - 1] for t in range(rows)]
         out: list[tuple[int, ...]] = []
         vec = [0] * rows
 
         def fill(t: int, rem: int, gaps: list[int]):
             # gaps: for each placed column open at t, what the inner product
             # with it still lacks
-            if t >= used and rem == 0:
+            row = placed[t] if t < rows else ()  # () past the last row too
+            if not row and rem == 0:  # row t is zero on the placed columns
                 tick()
                 out.append(tuple(vec))
                 return
@@ -483,10 +469,10 @@ def iter_embeddings(
                 tick()
                 return
             bound = math.isqrt(rem)
-            lo = 1 if t >= used else -bound
+            lo = -bound if row else 1
             hi = min(bound, vec[t - 1]) if tie[t] else bound
             tick(max(hi - lo + 1, 0) + 1)  # this call and the values it scans
-            row, norms = placed[t], suffix[t]
+            norms = suffix[t]
             for v in range(lo, hi + 1):
                 rem2 = rem - v * v
                 for gap, x, s in zip(gaps, row, norms):  # Cauchy-Schwarz
@@ -514,14 +500,14 @@ def iter_embeddings(
         powers = _half_powers(_columns(h))
     checks = _row_checks(powers)
 
-    def matched_sides(step: _Step, col: tuple[int, ...]) -> list | None:
-        """The sides of step once col is placed, or None when the rows of
-        psi[:, J_k] and (psi.g)[:, J_k] differ for a power g checked at
-        this step.  Each check is charged 2 * rows * |J_k|, the entries a
-        check from scratch would build."""
+    def child(step: _Step, col: tuple[int, ...]) -> _Step | None:
+        """The state once col is placed after step, or None when the rows of
+        psi[:, J_k] and (psi.g)[:, J_k] differ for a power g checked at this
+        step.  Each check is charged 2 * rows * |J_k|, the entries a check
+        from scratch would build."""
         cols = step.cols + (col,)
         sides = list(step.sides)
-        for g, size, entering in checks[len(step.cols)]:
+        for g, size, entering in checks.get(len(step.cols), ()):
             tick(2 * rows * size)
             ids, signs = sides[g]
             for j, terms in entering:  # both sides: psi[:, j], then (psi.g)[:, j]
@@ -529,9 +515,19 @@ def iter_embeddings(
             if sorted(ids[:rows]) != sorted(ids[rows:]):
                 return None
             sides[g] = (ids, signs)
-        return sides
+        # norms[t]: the squared norm of col[t:]; col is open at t while it is > 0
+        norms = list(itertools.accumulate((x * x for x in reversed(col)), initial=0))
+        norms.reverse()
+        return _Step(
+            cols,
+            [row + (x,) if a else row for row, x, a in zip(step.placed, col, norms)],
+            [row + (b,) if a else row for row, a, b in zip(step.suffix, norms, norms[1:])],
+            sides,
+        )
 
-    root = _Step.root(rows, len(powers))
+    # while J is empty, every row of both sides has id 0 and sign 0
+    empty = [0] * (2 * rows)
+    root = _Step((), [()] * rows, [()] * rows, [(empty, empty)] * len(powers))
     root.untried = iter(candidates(root))
     stack = [root]  # stack[k]: the state once k columns are placed
     while stack:
@@ -540,13 +536,11 @@ def iter_embeddings(
         if col is None:
             stack.pop()
             continue
-        sides = step.sides
-        if len(step.cols) in checks:
-            sides = matched_sides(step, col)
-            if sides is None:
-                continue
-        if len(step.cols) == n - 1:
-            by_domain = dict(zip(order, step.cols + (col,)))
+        step = child(step, col)
+        if step is None:
+            continue
+        if len(step.cols) == n:
+            by_domain = dict(zip(order, step.cols))
             mat = tuple(zip(*(
                 by_domain[j] if d[j] > 0 else tuple(-x for x in by_domain[j])
                 for j in range(n)
@@ -556,9 +550,8 @@ def iter_embeddings(
                 _canonical_rows(mat) + ((0,) * n,) * (m - rows), lat, target
             )
         else:
-            child = step.placing(col, sides)
-            child.untried = iter(candidates(child))
-            stack.append(child)
+            step.untried = iter(candidates(step))
+            stack.append(step)
 
 
 def enumerate_embeddings(

@@ -333,8 +333,8 @@ def _verdict_json(v: SurfaceVerdict | None):
         "witnesses": [
             {
                 "sign": sign,
-                "embedding": [list(row) for row in emb.matrix],
-                "intertwiner": [list(row) for row in t.matrix()],
+                "embedding": emb.matrix,
+                "intertwiner": t.matrix(),
             }
             for sign, emb, t in v.witnesses
         ],

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import goeritz
 from goeritz import cli, family
 from goeritz.cli import DEFAULT_BUDGET, build_parser, main
+from goeritz.lattice import SignedPermutation
 
 
 def run(capsys, *argv):
@@ -217,6 +218,49 @@ class TestEquivariantVerb:
             "class 1: refuted_rational (entry (1,1) = 2/5)\n"
             "class 2: refuted_rational (entry (1,1) = -2/5)\n"
         )
+
+    def test_text_builds_no_witness_matrix(self, capsys, monkeypatch):
+        # a witness matrix has (n + corank)^2 entries; text prints the outcome
+        def refuse(self):
+            raise AssertionError("text output built a witness matrix")
+
+        monkeypatch.setattr(SignedPermutation, "matrix", refuse)
+        code, out, err = run(capsys, "equivariant", "--preset", "k_n:2", "--corank", "2000")
+        assert (code, err) == (0, "")
+        assert out == (
+            "4 canonical embedding class(es)\n"
+            "class 1: witness\n"
+            "class 2: refuted_rational (entry (1,1) = 2/5)\n"
+            "class 3: witness\n"
+            "class 4: refuted_rational (entry (1,1) = -2/5)\n"
+        )
+
+    def test_json_is_capped(self, capsys, monkeypatch, tmp_path):
+        # past the cap the refusal comes before the search, which would
+        # exhaust --budget 1 and exit 2
+        path = write_json(tmp_path, "f.json", {"matrix": [[-2]], "action": [[-1]]})
+        cap = cli.MAX_EQUIVARIANT_JSON_RANK
+        argv = ["equivariant", "--input", path, "--corank", str(cap), "--budget", "1"]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: equivariant --format json prints each witness as a {cap + 1} x "
+            f"{cap + 1} matrix; n + corank must be at most {cap} (text prints the outcomes)\n"
+        )
+        assert run(capsys, *argv)[0] == 2  # text has no cap
+        # the cap itself is allowed
+        monkeypatch.setattr(cli, "MAX_EQUIVARIANT_JSON_RANK", 4)
+        code, out, _ = run(
+            capsys, "equivariant", "--input", path, "--corank", "3", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["classes"][0]["witness"] == [
+            [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]
+        ]
+        code, _, _ = run(
+            capsys, "equivariant", "--input", path, "--corank", "4", "--format", "json"
+        )
+        assert code == 1
 
     def test_file_input_needs_action(self, capsys, tmp_path):
         path = write_json(tmp_path, "f.json", {"matrix": [[-3, 1], [1, -2]]})

@@ -352,6 +352,44 @@ class TestSpanRestriction:
         assert la.matmul(la.matmul(la.transpose(m_int), form), m_int) == form
         assert res.passed
 
+    def test_zero_rows_change_nothing(self):
+        # zero rows lie outside the span: interleaved anywhere or removed,
+        # the induced map and the certificate stay the same
+        rng = random.Random(11)
+        for phi, f in fixture_cases():
+            rows = [row for row in phi.matrix if any(row)]
+            zero = (0,) * phi.source.rank
+            results = set()
+            for extra in (0, 1, 3):
+                mixed = list(rows)
+                for _ in range(extra):
+                    mixed.insert(rng.randrange(len(mixed) + 1), zero)
+                target = StandardTarget(len(mixed), phi.target.sign)
+                emb = LatticeEmbedding(tuple(mixed), phi.source, target)
+                results.add(repr(span_restriction_test(emb, f)))
+            assert results == {repr(span_restriction_test(phi, f))}
+
+    def test_kernel_basis_sees_only_the_nonzero_rows(self, monkeypatch):
+        seen = []
+        kernel_basis = la.kernel_basis
+
+        def spy(a):
+            seen.append(la.shape(a))
+            return kernel_basis(a)
+
+        monkeypatch.setattr(la, "kernel_basis", spy)
+        for phi, f in fixture_cases():
+            zero = (0,) * phi.source.rank
+            padded = LatticeEmbedding(
+                phi.matrix + (zero,) * 5, phi.source,
+                StandardTarget(phi.target.rank + 5, phi.target.sign),
+            )
+            nonzero = sum(1 for row in phi.matrix if any(row))
+            seen.clear()
+            span_restriction_test(padded, f)
+            # kernel_basis(a) reads a's columns as phi's rows
+            assert seen and all(cols <= nonzero for _, cols in seen)
+
     def test_saturation_basis_of_family_is_coordinate_prefix(self):
         # even n: the image saturates to the first 2n coordinates
         phi = family.family_embeddings(2)[0]
@@ -370,6 +408,21 @@ class TestFindWitness:
             assert la.matmul(fmat, phi.matrix) == la.matmul(
                 phi.matrix, family.ACTION_12A1019
             )
+
+    def test_zero_rows_are_matched_identically_in_index_order(self):
+        # 10**5 zero rows: each is matched to itself with sign +1
+        phi = family.phi_embeddings_12a1019()[1]
+        extra = 10**5
+        padded = LatticeEmbedding(
+            phi.matrix + ((0,) * 6,) * extra, phi.source,
+            StandardTarget(7 + extra, phi.target.sign),
+        )
+        v = find_equivariant_witness(padded, family.ACTION_12A1019)
+        assert v.witness.perm[:7] == find_equivariant_witness(
+            phi, family.ACTION_12A1019
+        ).witness.perm
+        assert v.witness.perm[7:] == tuple(range(7, 7 + extra))
+        assert v.witness.signs[7:] == (1,) * extra
 
     def test_identity_action_identity_witness(self):
         phi = family.phi_embeddings_12a1019()[0]
