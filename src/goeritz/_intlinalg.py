@@ -5,14 +5,17 @@ Matrices are immutable tuples of row tuples of plain Python ints (arbitrary
 precision).  A permutation matrix is encoded by its images: column i has its
 1 in row images[i] (`permutation_matrix`, `permutation_images`).  One gcd
 column elimination (`_echelon`) computes both the integer kernel and the
-column Hermite normal form.  Fraction-free Bareiss passes give the leading
-principal minors and the rational solutions, which come back as an integer
-numerator matrix over one common denominator.  Everything here is exact; no
-floating point appears anywhere in the package.
+column Hermite normal form.  Fraction-free Bareiss passes decide
+definiteness, on sparse rows in minimum-degree order, and give the rational
+solutions, which come back as an integer numerator matrix over one common
+denominator.  Everything here is exact; no floating point appears anywhere in
+the package.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import operator
 
@@ -58,8 +61,14 @@ def require_ints(values, what: str) -> None:
 
 
 def is_symmetric(a) -> bool:
+    """True iff a, with n rows and n entries in its first row, equals its
+    transpose: for each i, row i before the diagonal equals column i above it.
+    A short row leaves None in the columns it does not reach."""
     n, m = shape(a)
-    return n == m and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
+    cols = itertools.zip_longest(*a)
+    return n == m and all(
+        tuple(row[:i]) == col[:i] for i, (row, col) in enumerate(zip(a, cols))
+    )
 
 
 def is_permutation_matrix(a) -> bool:
@@ -108,27 +117,70 @@ def preserves_form(images, g) -> bool:
     )
 
 
-def leading_principal_minors(a) -> list[int]:
-    """Leading principal minors d_1, d_2, ... of a symmetric integer matrix,
-    up to and including the first zero: the pivots of one fraction-free
-    Bareiss pass without row swaps.  Every stage of the elimination stays
-    symmetric, so only the upper triangle is updated (mat[k][i] = mat[i][k])."""
-    n = len(a)
-    mat = [list(row) for row in a]
-    minors, prev = [], 1
-    for k in range(n):
-        piv = mat[k][k]
-        minors.append(piv)
-        if piv == 0:
-            break
-        row_k = mat[k]
-        for i in range(k + 1, n):
-            f = row_k[i]
-            mat[i][i:] = [
-                (x * piv - f * y) // prev for x, y in zip(mat[i][i:], row_k[i:])
-            ]
-        prev = piv
-    return minors
+def is_positive_definite(a, sign: int) -> bool:
+    """True iff sign * a is positive definite, for a symmetric integer matrix a.
+
+    One symmetric fraction-free (Bareiss) elimination on sparse rows: row i
+    maps each column to its nonzero entry of sign * a.  Each step pivots on
+    the live index whose row stores the fewest entries, ties going to the
+    lowest index (minimum degree), so a sparse form gets little fill-in.
+
+    Why it is correct.  Let k_1, k_2, ... be the pivots' indices and S_s the
+    first s of them.  After s steps, entry (i, j) of the eliminated matrix is
+    the bordered minor det(A[S_s + i, S_s + j]) of A = sign * a (Bareiss,
+    Math. Comp. 1968), so the pivot of step s + 1 is the (s + 1)-th leading
+    principal minor of P^T A P, P the permutation k_1, k_2, ...  P^T A P is
+    congruent to A, so by Sylvester's criterion A is positive definite iff
+    every pivot is positive, and the elimination stops at the first pivot
+    that is not.
+
+    Why every division is exact.  minors[s] is the s-th leading minor of
+    P^T A P (minors[0] = 1).  Step s + 1, with pivot p and pivot row y, turns
+    a row x whose entry f in the pivot column is nonzero into
+    (p * x - f * y) // minors[s], entrywise: each quotient is a bordered minor
+    of step s + 1, an integer.  A row with f = 0 would only be multiplied by
+    minors[s + 1] / minors[s], so it is left as it is and stamp records the
+    step its entries belong to.  When it is next read, at step s, each entry
+    x becomes x * minors[s] // minors[stamp], again a bordered minor.  All
+    those minors are positive, so no stored entry becomes zero by rescaling.
+    """
+    rows = {i: {j: sign * x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+    stamp = [0] * len(rows)
+    minors = [1]
+    # (stored entries, index) of every live row; an entry whose count is out
+    # of date is skipped, as its row pushed a new one when the count changed
+    heap = sorted((len(row), i) for i, row in rows.items())
+    while heap:
+        size, k = heapq.heappop(heap)
+        row_k = rows.get(k)
+        if row_k is None or len(row_k) != size:
+            continue
+        del rows[k]
+        s, prev = len(minors) - 1, minors[-1]
+        row_k = _rescaled(row_k, prev, minors[stamp[k]])
+        p = row_k.pop(k, 0)
+        if p <= 0:
+            return False
+        for j, f in row_k.items():
+            new = {
+                c: p * x
+                for c, x in _rescaled(rows[j], prev, minors[stamp[j]]).items()
+                if c != k
+            }
+            for c, y in row_k.items():
+                new[c] = new.get(c, 0) - f * y
+            rows[j] = row_j = {c: v // prev for c, v in new.items() if v}
+            stamp[j] = s + 1
+            heapq.heappush(heap, (len(row_j), j))
+        minors.append(p)
+    return True
+
+
+def _rescaled(row: dict[int, int], num: int, den: int) -> dict[int, int]:
+    """The entries of row times num / den, each quotient known to be exact."""
+    if num == den:
+        return row
+    return {c: x * num // den for c, x in row.items()}
 
 
 def _echelon(cols: list[list[int]], rows: int) -> list[int]:

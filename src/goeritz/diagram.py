@@ -76,8 +76,8 @@ def pre_goeritz(d: CheckerboardDiagram) -> la.IntMatrix:
     for i, j, eta in d.crossings:
         g[i][j] -= eta
         g[j][i] -= eta
-    for i in range(n1):
-        g[i][i] = -sum(g[i][k] for k in range(n1) if k != i)
+    for i, row in enumerate(g):
+        row[i] = -sum(row)  # row[i] is still 0: no crossing joins a region to itself
     return la.freeze(g)
 
 

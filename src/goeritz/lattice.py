@@ -126,11 +126,12 @@ class LatticeEmbedding:
 
 
 def is_definite(lat: GramLattice, sign: int) -> bool:
-    """Exact test that sign * G is positive definite (Sylvester's criterion)."""
+    """Exact test that sign * G is positive definite: Sylvester's criterion
+    on the pivots of one sparse fraction-free elimination in minimum-degree
+    order (`_intlinalg.is_positive_definite`)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    minors = la.leading_principal_minors(la.scale(sign, lat.matrix))
-    return len(minors) == lat.rank and all(d > 0 for d in minors)
+    return la.is_positive_definite(lat.matrix, sign)
 
 
 def gram_of(phi: la.IntMatrix, target: StandardTarget) -> la.IntMatrix:

@@ -3,9 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import goeritz._intlinalg as la
+from goeritz import family
 from goeritz.lattice import GramLattice, is_definite
 
 
@@ -61,15 +62,115 @@ def forms(draw):
     return la.neg(g) if kind == "negative gram" else g
 
 
-class TestLeadingPrincipalMinors:
-    @given(symmetric_matrices())
-    @example(((0, 1), (1, 0)))
-    @example(((1, 1, 0), (1, 1, 0), (0, 0, 5)))
-    def test_matches_oracle_up_to_first_zero(self, a):
-        want = oracle_minors(a)
-        if 0 in want:
-            want = want[: want.index(0) + 1]
-        assert la.leading_principal_minors(a) == want
+@st.composite
+def relabelled(draw, matrices):
+    """(g, perm, signs): a matrix g from `matrices` and a signed permutation
+    of its size, P e_i = signs[i] e_perm[i]."""
+    g = draw(matrices)
+    perm = draw(st.permutations(range(len(g))))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(g), max_size=len(g)))
+    return g, perm, signs
+
+
+def relabel(a, perm, signs):
+    """P^T a P for the signed permutation (perm, signs): congruent to a."""
+    return la.freeze(
+        [[si * sj * a[pi][pj] for pj, sj in zip(perm, signs)] for pi, si in zip(perm, signs)]
+    )
+
+
+@st.composite
+def laplacians(draw, vertices, negative_edges=2):
+    """The Laplacian of a random connected multigraph, shaped like a
+    pre-Goeritz matrix: a spanning tree plus up to `vertices` more edges,
+    each of weight 1 but for at most `negative_edges` of weight -1."""
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, vertices)]
+    pair = st.lists(st.integers(0, vertices - 1), min_size=2, max_size=2, unique=True)
+    edges += draw(st.lists(pair, max_size=vertices))
+    negative = draw(st.sets(st.integers(0, len(edges) - 1), max_size=negative_edges))
+    g = [[0] * vertices for _ in range(vertices)]
+    for e, (i, j) in enumerate(edges):
+        w = -1 if e in negative else 1
+        g[i][j] -= w
+        g[j][i] -= w
+        g[i][i] += w
+        g[j][j] += w
+    return la.freeze(g)
+
+
+def reduced(g):
+    """g without row and column 0, as the Goeritz form drops region 0."""
+    return tuple(row[1:] for row in g[1:])
+
+
+def kn_block_sum(ns) -> la.IntMatrix:
+    """The block sum of the K_n Goeritz forms goeritz_Gn(n), n in ns."""
+    size = 2 * sum(ns)
+    return family._block_sum([family.goeritz_Gn(n).matrix for n in ns], size, size)
+
+
+def sylvester(minors, sign) -> bool:
+    """Sylvester's criterion for sign * a, from the leading minors of a."""
+    return all(sign**k * d > 0 for k, d in enumerate(minors, 1))
+
+
+class TestIsPositiveDefinite:
+    @settings(max_examples=12, deadline=None)
+    @given(relabelled(st.integers(10, 41).flatmap(laplacians).map(reduced)))
+    def test_reduced_laplacians_match_oracle(self, case):
+        a = relabel(*case)
+        minors = oracle_minors(a)
+        for sign in (1, -1):
+            assert la.is_positive_definite(a, sign) == sylvester(minors, sign)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        relabelled(st.lists(st.integers(1, 4), min_size=1, max_size=5).map(kn_block_sum)),
+        st.booleans(),
+    )
+    def test_kn_block_sums_match_oracle(self, case, flip_last):
+        g, perm, signs = case
+        if flip_last:  # a positive definite last summand makes the sum indefinite
+            g = tuple(row[:-2] + tuple(-x for x in row[-2:]) for row in g)
+        a = relabel(g, perm, signs)
+        minors = oracle_minors(a)
+        assert sylvester(minors, -1) == (not flip_last)
+        for sign in (1, -1):
+            assert la.is_positive_definite(a, sign) == sylvester(minors, sign)
+
+    @settings(max_examples=10, deadline=None)
+    @given(relabelled(st.integers(2, 25).flatmap(lambda n: laplacians(n, 0))), st.booleans())
+    def test_fails_only_at_last_pivot(self, case, indefinite):
+        # Every proper principal submatrix of the Laplacian g of a connected
+        # graph on n vertices is positive definite, with least eigenvalue at
+        # least 1 / (diameter * (n - 1)) > 1 / n^2, and det g = 0: in any
+        # pivot order only the last pivot is 0.  n^2 * g - e_0 e_0^T keeps
+        # those submatrices positive definite and has det < 0.
+        g, perm, signs = case
+        n = len(g)
+        if indefinite:
+            g = [[n * n * x - (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(g)]
+        a = relabel(g, perm, signs)
+        minors = oracle_minors(a)
+        assert all(d > 0 for d in minors[:-1])
+        assert (minors[-1] < 0) if indefinite else (minors[-1] == 0)
+        assert not la.is_positive_definite(a, 1)
+        assert not la.is_positive_definite(a, -1)
+
+    @given(
+        relabelled(st.one_of(forms(), st.integers(2, 41).flatmap(laplacians).map(reduced))),
+        st.sampled_from([1, -1]),
+    )
+    @example((((0, 1), (1, 0)), (1, 0), (1, -1)), 1)  # zero first pivot in every order
+    @example((((1, 1, 0), (1, 1, 0), (0, 0, 5)), (2, 0, 1), (1, 1, -1)), 1)  # singular block
+    def test_invariant_under_signed_permutation(self, case, sign):
+        g = case[0]
+        assert la.is_positive_definite(relabel(*case), sign) == la.is_positive_definite(g, sign)
+
+    def test_k100_is_negative_definite(self):
+        g = family.goeritz_Gn(100)
+        assert is_definite(g, -1)
+        assert not is_definite(g, 1)
 
 
 class TestIsDefinite:
@@ -80,6 +181,29 @@ class TestIsDefinite:
     def test_agrees_with_sylvester(self, g, sign):
         sylvester = all(d > 0 for d in oracle_minors(la.scale(sign, g)))
         assert is_definite(GramLattice(g), sign) == sylvester
+
+
+class TestIsSymmetric:
+    @given(
+        st.one_of(
+            symmetric_matrices(),
+            st.integers(0, 5).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(0, 1), max_size=n + 1), min_size=n, max_size=n
+                )
+            ),
+        )
+    )
+    @example(())
+    @example(((7,),))
+    @example(((1, 2), (2,)))
+    def test_matches_index_loop(self, a):
+        n, m = la.shape(a)
+        try:
+            want = n == m and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
+        except IndexError:
+            return  # a ragged input the index loop gives no answer on
+        assert la.is_symmetric(a) == want
 
 
 class TestPermutationOrder:
