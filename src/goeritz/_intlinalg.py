@@ -10,6 +10,15 @@ definiteness, on sparse rows in minimum-degree order, and give the rational
 solutions, which come back as an integer numerator matrix over one common
 denominator.  Everything here is exact; no floating point appears anywhere in
 the package.
+
+The matrices met here are sparse (forms, actions, embeddings), and the
+kernels cost what their nonzero entries ask for.  The product adds only
+nonzero entries times the stored nonzero entries of b.  Both Bareiss passes
+leave a row whose multiplier at a step is 0 as it is and stamp it with the
+step its entries belong to: the dense pass would only multiply it by
+minors[s + 1] / minors[s], and the factors of the skipped steps telescope,
+so when the row is next read at step t one exact division,
+x * minors[t] // minors[stamp], brings it up to date.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -39,10 +47,24 @@ def transpose(a) -> IntMatrix:
 
 
 def matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a
-    )
+    """a @ b, row by row: row i of the product adds x * b[k] for each nonzero
+    entry x = a[i][k], over the nonzero entries of b[k] only.
+
+    Like zip, it truncates rather than checks: the product has the width of
+    the shortest row of b, and a row of a meets only the first len(b) rows of
+    b, so callers check shapes first.
+    """
+    width = min(map(len, b), default=0)
+    sparse_b = [[(j, y) for j, y in enumerate(row[:width]) if y] for row in b]
+    product = []
+    for row in a:
+        acc = [0] * width
+        for x, b_k in zip(row, sparse_b):
+            if x:
+                for j, y in b_k:
+                    acc[j] += x * y
+        product.append(tuple(acc))
+    return tuple(product)
 
 
 def neg(a):
@@ -295,25 +317,60 @@ def solve_fraction_free(a, b) -> tuple[IntMatrix, int]:
 
     `a` is m x n with full column rank and `b` is m x k.  One fraction-free
     Gauss-Jordan pass (Bareiss) over [a | b] returns (num, det) with det != 0
-    and a @ num = det * b, so x = num / det.  Every division is exact: after
-    step s each entry is, up to sign, an (s+1) x (s+1) minor of [a | b].  Raises
-    ValueError if a lacks full column rank or the system is inconsistent.
+    and a @ num = det * b, so x = num / det.  Raises ValueError if a lacks
+    full column rank or the system is inconsistent.
+
+    Step s (from 0) takes the first row at or below s that is nonzero in
+    column s as its pivot row y, with pivot p, and turns every other row x
+    with entry f != 0 in column s into (p * x - f * y) // minors[s], entrywise,
+    where minors[s] is the pivot of step s - 1 (minors[0] = 1).  Each
+    quotient is exact: after step s every entry is, up to sign, an
+    (s+1) x (s+1) minor of [a | b].
+
+    Rows with f = 0 are not rewritten.  The dense pass would only multiply
+    them by minors[s + 1] / minors[s], so stamp records the step their
+    entries belong to, and a row is brought up to date only when it is next
+    read: as a pivot row, with a nonzero multiplier, or for the result.  At
+    step t, each entry x of a row stamped s becomes
+    x * minors[t] // minors[s].  That is exact, and equal to what the dense
+    pass stores: the factors of the skipped steps telescope,
+    (minors[s+1] / minors[s]) * ... * (minors[t] / minors[t-1])
+    = minors[t] / minors[s], and the dense pass's entry at step t is an
+    integer (a minor, as above).  Rescaling never makes an entry zero or
+    nonzero, so the pivot search and the consistency check read stale rows
+    as they are.  A row swap swaps the stamps too.
     """
     m, n = shape(a)
     rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    prev = 1
+    stamp = [0] * len(rows)
+    minors = [1]
     for k in range(n):
         piv = next((i for i in range(k, m) if rows[i][k]), None)
         if piv is None:
             raise ValueError("solve_fraction_free requires full column rank")
         rows[k], rows[piv] = rows[piv], rows[k]
-        row_k = rows[k]
+        stamp[k], stamp[piv] = stamp[piv], stamp[k]
+        prev = minors[k]
+        rows[k] = row_k = _rescaled_list(rows[k], prev, minors[stamp[k]])
+        stamp[k] = k + 1
         p = row_k[k]
         for i in range(m):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], row_k)]
-        prev = p
+            if i != k and rows[i][k]:
+                row = _rescaled_list(rows[i], prev, minors[stamp[i]])
+                f = row[k]
+                rows[i] = [(x * p - f * y) // prev for x, y in zip(row, row_k)]
+                stamp[i] = k + 1
+        minors.append(p)
     if any(any(row[n:]) for row in rows[n:]):
         raise ValueError("inconsistent linear system")
-    return freeze(row[n:] for row in rows[:n]), prev
+    det = minors[n]
+    return freeze(
+        _rescaled_list(row[n:], det, minors[s]) for row, s in zip(rows, stamp[:n])
+    ), det
+
+
+def _rescaled_list(row: list[int], num: int, den: int) -> list[int]:
+    """The entries of row times num / den, each quotient known to be exact."""
+    if num == den:
+        return row
+    return [x * num // den for x in row]

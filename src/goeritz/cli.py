@@ -22,6 +22,7 @@ JSON schemas:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -254,6 +255,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="goeritz",

@@ -12,6 +12,7 @@ reproducible certificate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def span_restriction_test(phi: LatticeEmbedding, f: la.IntMatrix) -> SpanTestRes
 
     All arithmetic is integral: coordinates come from forward substitution
     on the column HNF, and the induced map from one fraction-free solve;
-    Fractions are built only for the reported map.
+    the reported map shares one Fraction per distinct numerator.
     """
     f = la.freeze(f)
     if not is_isometry(f, phi.source):
@@ -89,7 +90,8 @@ def span_restriction_test(phi: LatticeEmbedding, f: la.IntMatrix) -> SpanTestRes
     num, det = la.solve_fraction_free(
         la.transpose(coords), la.transpose(la.matmul(coords, f))
     )
-    induced = tuple(tuple(Fraction(x, det) for x in col) for col in zip(*num))
+    value = {x: Fraction(x, det) for x in set(itertools.chain(*num))}.__getitem__
+    induced = tuple(tuple(map(value, col)) for col in zip(*num))
     certificate = tuple(
         (i, j, x)
         for i, row in enumerate(induced)

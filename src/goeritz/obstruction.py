@@ -9,6 +9,7 @@ pure consumer of the Goeritz data and the classical invariants.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from . import _intlinalg as la
@@ -56,6 +57,15 @@ def mobius_cover_sign(residue: int) -> CoverSign:
     return table[residue]
 
 
+def _opposite(plus: GramLattice, minus: GramLattice) -> bool:
+    """True iff G_+ = -G_-.  Both forms are square, so that holds iff their
+    ranks agree and G_+ + G_- is zero, read entry by entry without building
+    -G_-."""
+    return plus.rank == minus.rank and not any(
+        any(map(operator.add, p, m)) for p, m in zip(plus.matrix, minus.matrix)
+    )
+
+
 @dataclass(frozen=True)
 class KnotCertificate:
     """Input bundle for the obstruction pipeline.
@@ -99,7 +109,7 @@ class KnotCertificate:
         if not is_definite(self.goeritz_minus, -1):
             raise ValueError("goeritz_minus must be negative definite")
         # G_+ = -G_- is positive definite iff G_- is negative definite
-        if self.goeritz_plus.matrix != la.neg(self.goeritz_minus.matrix):
+        if not _opposite(self.goeritz_plus, self.goeritz_minus):
             if not is_definite(self.goeritz_plus, 1):
                 raise ValueError("goeritz_plus must be positive definite")
         for act, lat, side in (
@@ -294,7 +304,7 @@ def certificate_from_json(obj: dict) -> KnotCertificate:
         if a_minus is None and a_plus is None:
             raise ValueError("at least one action must be supplied")
         if a_plus is None or a_minus is None:
-            if g_plus.matrix != la.neg(g_minus.matrix):
+            if not _opposite(g_plus, g_minus):
                 raise ValueError(
                     "one action missing and G_+ != -G_-: both actions required"
                 )

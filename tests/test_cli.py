@@ -614,6 +614,31 @@ class TestInputBoundary:
         assert err.count("\n") == 1 and err.startswith("error:")
 
 
+class TestParserBuiltOnce:
+    def test_each_call_gets_its_own_namespace_and_defaults(self, capsys):
+        assert build_parser() is build_parser()
+        # a budget of 10 nodes runs out on 12a1019; the next call is back
+        # at the default budget
+        code, out, err = run(capsys, "embed", "--preset", "12a1019", "--budget", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("inconclusive:")
+        code, out, _ = run(capsys, "embed", "--preset", "12a1019")
+        assert code == 0
+        assert out.startswith("2 canonical embedding class(es)")
+        first = build_parser().parse_args(["embed", "--preset", "k_n:3", "--budget", "10"])
+        second = build_parser().parse_args(["obstruct", "--preset", "k_n:3"])
+        assert first is not second
+        assert (first.budget, second.budget) == (10, DEFAULT_BUDGET)
+        assert (first.verb, first.corank) == ("embed", 1)
+        assert second.verb == "obstruct" and not hasattr(second, "corank")
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        assert usage_exit("embed", "--preset", "12a1019", "--budget", "x") == 1
+        code, out, _ = run(capsys, "embed", "--preset", "12a1019")
+        assert code == 0
+        assert out.startswith("2 canonical embedding class(es)")
+
+
 class TestUsageErrors:
     """Usage errors exit 1, the input-error status; 2 means inconclusive."""
 

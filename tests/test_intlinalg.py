@@ -294,6 +294,151 @@ class TestHnfCoordinates:
         assert la.hnf_coordinates(h, la.matmul(h, x)) == x
 
 
+def oracle_matmul(a, b):
+    """a @ b by the triple loop, with matmul's truncation: the width of the
+    shortest row of b, and len(b) terms per entry at most."""
+    width = min((len(row) for row in b), default=0)
+    return tuple(
+        tuple(
+            sum(row[k] * b[k][j] for k in range(min(len(row), len(b))))
+            for j in range(width)
+        )
+        for row in a
+    )
+
+
+@st.composite
+def sparse_int_matrix(draw, rows, cols):
+    """A rows x cols matrix, mostly zero, with some entries up to 10**20 and
+    some rows and columns zeroed out."""
+    entry = st.one_of(
+        st.just(0), st.just(0), st.integers(-3, 3), st.integers(-(10**20), 10**20)
+    )
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    mat = draw(st.lists(row, min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return la.freeze(
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+        for i, r in enumerate(mat)
+    )
+
+
+@st.composite
+def matmul_pairs(draw):
+    """(a, b) of shapes m x k and k x n, each of m, k, n from 0 to 6, so
+    empty, 1 x k and k x 1 shapes all occur."""
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    return draw(sparse_int_matrix(m, k)), draw(sparse_int_matrix(k, n))
+
+
+class TestMatmul:
+    @given(matmul_pairs())
+    @example((((1, 2),), ((3,), (4,))))
+    @example(((), ()))
+    @example((((), ()), ()))
+    @example((((0, 0), (0, 5)), ((7, 0), (0, 0))))
+    def test_matches_triple_loop(self, pair):
+        a, b = pair
+        assert la.matmul(a, b) == oracle_matmul(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # a row longer than b has rows: only the first len(b) terms count
+            (((1, 2, 3),), ((4,), (5,))),
+            # a ragged b: the width is its shortest row
+            (((1, 1), (2, 0)), ((1, 2, 3), (4, 5))),
+            (((1, 0),), ((1, 2), ())),
+        ],
+    )
+    def test_truncates_like_zip(self, a, b):
+        assert la.matmul(a, b) == oracle_matmul(a, b)
+
+    def test_result_is_tuple_of_int_tuples(self):
+        got = la.matmul(((0, 2), (0, 0)), ((5, 0), (1, -1)))
+        assert got == ((2, -2), (0, 0))
+        assert all(type(row) is tuple for row in got)
+        assert all(type(x) is int for row in got for x in row)
+
+
+def dense_solve(a, b):
+    """The dense fraction-free Gauss-Jordan pass: every row other than the
+    pivot row is rewritten at every step, even when its multiplier is 0."""
+    m, n = la.shape(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, m) if rows[i][k]), None)
+        if piv is None:
+            raise ValueError("solve_fraction_free requires full column rank")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        row_k = rows[k]
+        p = row_k[k]
+        for i in range(m):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], row_k)]
+        prev = p
+    if any(any(row[n:]) for row in rows[n:]):
+        raise ValueError("inconsistent linear system")
+    return la.freeze(row[n:] for row in rows[:n]), prev
+
+
+def solve_outcome(solve, a, b):
+    """(num, det), or the message of the ValueError raised."""
+    try:
+        return solve(a, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(a, b) with a of full column rank, or close to it, whose elimination
+    leaves many rows untouched for several steps, so their entries are
+    brought up to date late: scaled signed permutations, block-diagonal
+    matrices, scaled identities with a few dense rows, and random sparse
+    matrices; the rows of a are then shuffled.  b is a @ x for an integer
+    x, or random (then a tall system is mostly inconsistent)."""
+    kind = draw(st.sampled_from(["monomial", "blocks", "identity+dense", "sparse"]))
+    n = draw(st.integers(1, 8))
+    extra = draw(st.integers(0, 3))
+    a = [[0] * n for _ in range(n + extra)]
+    if kind == "monomial":
+        perm = draw(st.permutations(range(n)))
+        for i, j in enumerate(perm):
+            a[i][j] = draw(st.sampled_from((1, -1, 2, -2, 3, 5, -7)))
+    elif kind == "blocks":
+        start = 0
+        while start < n:
+            size = min(n - start, draw(st.integers(1, 3)))
+            block = draw(int_matrix(size, size, bound=4))
+            for i, row in enumerate(block):
+                a[start + i][start : start + size] = row
+            start += size
+    elif kind == "identity+dense":
+        for i in range(n):
+            a[i][i] = draw(st.sampled_from((1, -1, 2, 3)))
+        dense = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+        for i in draw(st.sets(st.integers(0, n + extra - 1), max_size=3)):
+            a[i] = draw(dense)
+    else:
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4))
+        a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=n + extra, max_size=n + extra))
+    for i in range(n, n + extra):  # some tall rows: the sum of two rows above
+        if draw(st.booleans()):
+            a[i] = [x + y for x, y in zip(a[i - n], a[(i + 1) % n])]
+    a = la.freeze(draw(st.permutations(a)))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        b = la.matmul(a, draw(int_matrix(n, k, bound=5)))
+    else:
+        b = draw(int_matrix(n + extra, k, bound=5))
+    return a, b
+
+
 class TestSolveFractionFree:
     @given(full_column_rank(), st.data())
     def test_square_matches_fraction_solution(self, a, data):
@@ -317,6 +462,27 @@ class TestSolveFractionFree:
         x = data.draw(int_matrix(len(a[0]), 2, bound=5))
         num, det = la.solve_fraction_free(a, la.matmul(a, x))
         assert la.scale(det, x) == num
+
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_systems())
+    # row 2 skips step 0; step 1 swaps it in as the pivot row for row 1,
+    # which step 0 rewrote and which is now zero in column 1
+    @example((((3, 1, 0), (6, 2, 1), (0, 5, 1)), ((1,), (2,), (3,))))
+    # row 1 skips steps 0 and 1, moves down in the swap of step 1 and is
+    # the pivot row of step 2
+    @example((((2, 1, 0), (0, 0, 3), (1, 4, 0)), ((1, 0), (0, 1), (5, 5))))
+    def test_sparse_systems_match_dense_pass(self, system):
+        a, b = system
+        assert solve_outcome(la.solve_fraction_free, a, b) == solve_outcome(
+            dense_solve, a, b
+        )
+
+    @given(full_column_rank(), st.data())
+    def test_dense_systems_match_dense_pass(self, a, data):
+        b = data.draw(int_matrix(len(a), data.draw(st.integers(1, 3)), bound=5))
+        assert solve_outcome(la.solve_fraction_free, a, b) == solve_outcome(
+            dense_solve, a, b
+        )
 
     def test_rank_deficient_is_value_error(self):
         with pytest.raises(ValueError, match="rank"):

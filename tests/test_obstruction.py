@@ -115,6 +115,16 @@ class TestKnotCertificate:
                 la.identity(6), period=2, signature=0, arf=0,
             )
 
+    def test_plus_side_tested_when_ranks_differ(self):
+        g = GramLattice(family.G_MINUS_12A1019)
+        # -G_- bordered by -1: it agrees with -G_- wherever both have entries
+        plus = [list(r) + [0] for r in g.negated().matrix] + [[0] * 6 + [-1]]
+        with pytest.raises(ValueError, match="goeritz_plus must be positive definite"):
+            KnotCertificate(
+                "bad", g, GramLattice(la.freeze(plus)), la.identity(6),
+                la.identity(7), period=2, signature=0, arf=0,
+            )
+
     @pytest.mark.parametrize("value", ["one", -1, True, 1.0])
     def test_rejects_bad_known_gamma4(self, value):
         cert = family.make_certificate_Kn(2)
