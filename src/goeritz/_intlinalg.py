@@ -4,17 +4,17 @@ algorithm and encoding in the package.
 Matrices are immutable tuples of row tuples of plain Python ints (arbitrary
 precision).  A permutation matrix is encoded by its images: column i has its
 1 in row images[i] (`permutation_matrix`, `permutation_images`).  One gcd
-column elimination (`_echelon`) computes both the integer kernel and the
-column Hermite normal form.  Fraction-free Bareiss passes decide
-definiteness, on sparse rows in minimum-degree order, and give the rational
-solutions, which come back as an integer numerator matrix over one common
-denominator.  Everything here is exact; no floating point appears anywhere in
-the package.
+column elimination (`_echelon`) gives the Hermite basis of a column lattice,
+and integer forward substitution on that basis gives rational coordinates
+as an integer numerator matrix over one common denominator.  One
+fraction-free (Bareiss) pass decides definiteness, on sparse rows in
+minimum-degree order.  Everything here is exact; no floating point appears
+anywhere in the package.
 
 The matrices met here are sparse (forms, actions, embeddings), and the
 kernels cost what their nonzero entries ask for.  The product adds only
-nonzero entries times the stored nonzero entries of b.  Both Bareiss passes
-leave a row whose multiplier at a step is 0 as it is and stamp it with the
+nonzero entries times the stored nonzero entries of b.  The Bareiss pass
+leaves a row whose multiplier at a step is 0 as it is and stamps it with the
 step its entries belong to: the dense pass would only multiply it by
 minors[s + 1] / minors[s], and the factors of the skipped steps telescope,
 so when the row is next read at step t one exact division,
@@ -249,35 +249,20 @@ def _echelon(cols: list[list[int]], rows: int) -> list[int]:
     return pivots
 
 
-def kernel_basis(a) -> IntMatrix:
-    """Z-basis of the integer kernel {v : a @ v = 0}, as columns of a matrix.
-
-    The returned lattice is automatically saturated in Z^n.  Each column of
-    `a` is stacked over the matching identity column and the rows of `a` are
-    eliminated; the identity parts past the rank are the kernel basis.
-    """
-    m, n = shape(a)
-    cols = []
-    for j in range(n):
-        col = [row[j] for row in a] + [0] * n
-        col[m + j] = 1
-        cols.append(col)
-    kernel = cols[len(_echelon(cols, m)):]
-    return tuple(tuple(col[m + i] for col in kernel) for i in range(n))
-
-
 def column_hnf(a) -> IntMatrix:
-    """Column-style Hermite normal form of a full-column-rank integer matrix.
+    """Hermite basis of the lattice spanned by the columns of a: an m x r
+    matrix, r the rank of a.
 
     Pivots appear in increasing row order, one per column, are positive, and
     entries in a pivot row to the left of the pivot are reduced into
-    [0, pivot).  This is the frozen canonical basis used for saturations.
+    [0, pivot).  Dependent columns (zero, repeated or combinations of others)
+    are reduced to zero and dropped, so the basis depends only on the
+    lattice.
     """
     m, n = shape(a)
     cols = [[row[j] for row in a] for j in range(n)]
     pivots = _echelon(cols, m)
-    if len(pivots) != n:
-        raise ValueError("column_hnf requires full column rank")
+    del cols[len(pivots):]
     for k, row in enumerate(pivots):
         col = cols[k]
         if col[row] < 0:
@@ -290,87 +275,27 @@ def column_hnf(a) -> IntMatrix:
     return tuple(tuple(col[i] for col in cols) for i in range(m))
 
 
-def hnf_coordinates(h, b) -> IntMatrix:
-    """The integer x with h @ x = b, for h in column Hermite normal form (as
-    returned by column_hnf) and every column of b in the lattice of h.
+def hnf_coordinates(h, b) -> tuple[IntMatrix, int]:
+    """(num, det) with h @ num = det * b, for h a Hermite basis (as returned
+    by column_hnf), every column of b in the rational span of h, and det the
+    product of the pivots of h.
 
-    The pivot rows of h form a lower triangular block with a positive
-    diagonal, so x comes from integer forward substitution over those rows.
+    The pivot rows of h form a lower triangular block T whose diagonal holds
+    the pivots, so det = det T and det * T^-1 is integral.  Row j of num,
+    with pivot p in row i, is (det * b[i] - sum over t < j of h[i][t] *
+    num[t]) / p by integer forward substitution: every division is exact,
+    as the quotient is row j of (det * T^-1) @ (the pivot rows of b).
     """
     m, r = shape(h)
-    x: list[list[int]] = []
-    for j in range(r):
-        p = next(i for i in range(m) if h[i][j])  # pivot row of column j
-        acc = list(b[p])
+    pivots = [next(i for i in range(m) if h[i][j]) for j in range(r)]
+    det = math.prod(h[i][j] for j, i in enumerate(pivots))
+    num: list[list[int]] = []
+    for j, i in enumerate(pivots):
+        acc = [det * v for v in b[i]]
         for t in range(j):
-            c = h[p][t]
+            c = h[i][t]
             if c:
-                acc = [v - c * y for v, y in zip(acc, x[t])]
-        d = h[p][j]
-        assert all(v % d == 0 for v in acc), "b is not in the lattice of h"
-        x.append([v // d for v in acc])
-    return freeze(x)
-
-
-def solve_fraction_free(a, b) -> tuple[IntMatrix, int]:
-    """Solve a @ x = b over the rationals without leaving the integers.
-
-    `a` is m x n with full column rank and `b` is m x k.  One fraction-free
-    Gauss-Jordan pass (Bareiss) over [a | b] returns (num, det) with det != 0
-    and a @ num = det * b, so x = num / det.  Raises ValueError if a lacks
-    full column rank or the system is inconsistent.
-
-    Step s (from 0) takes the first row at or below s that is nonzero in
-    column s as its pivot row y, with pivot p, and turns every other row x
-    with entry f != 0 in column s into (p * x - f * y) // minors[s], entrywise,
-    where minors[s] is the pivot of step s - 1 (minors[0] = 1).  Each
-    quotient is exact: after step s every entry is, up to sign, an
-    (s+1) x (s+1) minor of [a | b].
-
-    Rows with f = 0 are not rewritten.  The dense pass would only multiply
-    them by minors[s + 1] / minors[s], so stamp records the step their
-    entries belong to, and a row is brought up to date only when it is next
-    read: as a pivot row, with a nonzero multiplier, or for the result.  At
-    step t, each entry x of a row stamped s becomes
-    x * minors[t] // minors[s].  That is exact, and equal to what the dense
-    pass stores: the factors of the skipped steps telescope,
-    (minors[s+1] / minors[s]) * ... * (minors[t] / minors[t-1])
-    = minors[t] / minors[s], and the dense pass's entry at step t is an
-    integer (a minor, as above).  Rescaling never makes an entry zero or
-    nonzero, so the pivot search and the consistency check read stale rows
-    as they are.  A row swap swaps the stamps too.
-    """
-    m, n = shape(a)
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    stamp = [0] * len(rows)
-    minors = [1]
-    for k in range(n):
-        piv = next((i for i in range(k, m) if rows[i][k]), None)
-        if piv is None:
-            raise ValueError("solve_fraction_free requires full column rank")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        stamp[k], stamp[piv] = stamp[piv], stamp[k]
-        prev = minors[k]
-        rows[k] = row_k = _rescaled_list(rows[k], prev, minors[stamp[k]])
-        stamp[k] = k + 1
-        p = row_k[k]
-        for i in range(m):
-            if i != k and rows[i][k]:
-                row = _rescaled_list(rows[i], prev, minors[stamp[i]])
-                f = row[k]
-                rows[i] = [(x * p - f * y) // prev for x, y in zip(row, row_k)]
-                stamp[i] = k + 1
-        minors.append(p)
-    if any(any(row[n:]) for row in rows[n:]):
-        raise ValueError("inconsistent linear system")
-    det = minors[n]
-    return freeze(
-        _rescaled_list(row[n:], det, minors[s]) for row, s in zip(rows, stamp[:n])
-    ), det
-
-
-def _rescaled_list(row: list[int], num: int, den: int) -> list[int]:
-    """The entries of row times num / den, each quotient known to be exact."""
-    if num == den:
-        return row
-    return [x * num // den for x in row]
+                acc = [v - c * y for v, y in zip(acc, num[t])]
+        p = h[i][j]
+        num.append([v // p for v in acc])
+    return freeze(num), det

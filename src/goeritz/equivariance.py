@@ -4,10 +4,10 @@ Given an embedding phi of a Gram lattice and an isometry f of its source,
 decide whether some signed permutation F of the target intertwines them
 (F . phi = phi . f).  Matching the rows of phi . f against the rows of phi up
 to sign decides this completely, and the matching is the witness.  When the
-match fails, a rational refutation looks at the map induced by f on the
-saturation of the image lattice: if that map fails to be integral, no
-intertwiner of any kind exists and the offending rational entries form a
-reproducible certificate.
+match fails, a rational refutation looks at the row lattice R of phi: if f^T
+does not map R into itself, the map f induces on the saturation of the image
+lattice is not integral, no intertwiner of any kind exists, and the
+non-integral entries of the induced map form a reproducible certificate.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from .lattice import (
 class SpanTestResult:
     """Outcome of the rational-span test.
 
-    The induced map is expressed in the frozen saturation basis (column
-    Hermite form of the saturation of the image lattice), so certificates are
-    reproducible.  certificate lists every non-integral entry as
-    (row, col, value); the test passes iff there is none.
+    induced_map is the map f induces on L' = {y : phi y integral}, written in
+    the basis dual to the Hermite basis H of the row lattice of phi: the M
+    with H^T f = M H^T.  H depends only on the lattice, so certificates are
+    reproducible.  certificate lists every non-integral entry as (row, col,
+    value); the test passes iff there is none.
     """
 
     induced_map: tuple[tuple[Fraction, ...], ...]
@@ -47,22 +48,6 @@ class SpanTestResult:
         return not self.certificate
 
 
-def saturation_basis(phi: la.IntMatrix) -> la.IntMatrix:
-    """Canonical basis of the saturation of the column lattice of phi.
-
-    The saturation is the intersection of the rational column span with the
-    ambient integer lattice; the basis returned is its column Hermite normal
-    form, which is the frozen choice used for span-test certificates.
-    """
-    left_kernel = la.kernel_basis(la.transpose(phi))  # columns spanning ker phi^T
-    _, corank = la.shape(left_kernel)
-    m, _ = la.shape(phi)
-    if corank == 0:
-        return la.identity(m)
-    sat = la.kernel_basis(la.transpose(left_kernel))
-    return la.column_hnf(sat)
-
-
 def span_restriction_test(phi: LatticeEmbedding, f: la.IntMatrix) -> SpanTestResult:
     """Necessary condition for an intertwiner: integrality on the saturation.
 
@@ -71,25 +56,23 @@ def span_restriction_test(phi: LatticeEmbedding, f: la.IntMatrix) -> SpanTestRes
     saturation for any intertwiner to exist.  Failure is a complete
     refutation; passing is necessary but not sufficient.  An integral induced
     map is always an isometry of the saturation (the source form is preserved
-    by f and read off the saturation through coordinates of full row rank),
-    so integrality is the whole test.
+    by f), so integrality is the whole test.
 
-    All arithmetic is integral: coordinates come from forward substitution
-    on the column HNF, and the induced map from one fraction-free solve;
-    the reported map shares one Fraction per distinct numerator.
+    The test reads the saturation through the row lattice R of phi, the
+    lattice its rows span.  phi maps L' = {y : phi y integral} onto the
+    saturation, and L' is the dual of R, so the induced map is integral iff
+    f(L') lies in L', that is iff f^T R lies in R.  With H the Hermite basis
+    of R, one forward substitution gives H @ num = det * f^T H, and the map
+    induced on L', in the basis dual to H, is num^T / det; the reported map
+    shares one Fraction per distinct numerator.
     """
     f = la.freeze(f)
     if not is_isometry(f, phi.source):
         raise ValueError("f is not an isometry of the source form")
-    # zero rows lie outside the span: the saturation, its basis on the other
-    # rows and the coordinates are the same without them
-    image = tuple(filter(any, phi.matrix))
-    basis = saturation_basis(image)
-    coords = la.hnf_coordinates(basis, image)  # basis @ coords = image
-    # the induced map M solves M @ coords = coords @ f; solve the transpose
-    num, det = la.solve_fraction_free(
-        la.transpose(coords), la.transpose(la.matmul(coords, f))
-    )
+    # zero rows add nothing to the row lattice, and leaving them out keeps
+    # the elimination's cost independent of the corank
+    h = la.column_hnf(la.transpose(tuple(filter(any, phi.matrix))))
+    num, det = la.hnf_coordinates(h, la.matmul(la.transpose(f), h))
     value = {x: Fraction(x, det) for x in set(itertools.chain(*num))}.__getitem__
     induced = tuple(tuple(map(value, col)) for col in zip(*num))
     certificate = tuple(
@@ -181,6 +164,5 @@ __all__ = [
     "exists_equivariant_embedding",
     "find_equivariant_witness",
     "is_isometry",
-    "saturation_basis",
     "span_restriction_test",
 ]

@@ -137,23 +137,28 @@ def test_criterion_4_family_non_equivariance():
             if hit is not None:
                 failures.append(f"n={n}: unexpected equivariant witness")
         # certificate values on the closed-form family members
+        for n in (2, 3, 4, 5):
+            for k, emb in enumerate(family.family_embeddings(n)):
+                res = span_restriction_test(emb, family.action_fn(n))
+                if not res.certificate or any(x.denominator != 5 for _, _, x in res.certificate):
+                    failures.append(f"n={n} class {k}: certificate {res.certificate}")
         res = span_restriction_test(family.family_embeddings(2)[0], family.action_fn(2))
-        if not any(abs(x) == Fraction(2, 5) for _, _, x in res.certificate):
-            failures.append("n=2 first-index-1 certificate missing +/-2/5")
+        if res.certificate != ((0, 3, Fraction(-11, 5)), (1, 3, Fraction(-3, 5))):
+            failures.append(f"n=2 first-index-1 certificate is {res.certificate}")
         res = span_restriction_test(family.family_embeddings(2)[1], family.action_fn(2))
-        if not any(abs(x) == Fraction(2, 5) for _, _, x in res.certificate):
-            failures.append("n=2 first-index-2 certificate missing +/-2/5")
+        if res.certificate != ((0, 3, Fraction(-6, 5)), (1, 3, Fraction(-8, 5))):
+            failures.append(f"n=2 first-index-2 certificate is {res.certificate}")
         for n in (4, 5):
             first = span_restriction_test(
                 family.family_embeddings(n)[0], family.action_fn(n)
             )
-            if first.induced_map[0][0] != Fraction(1, 5):
-                failures.append(f"n={n} first-index-1 entry is {first.induced_map[0][0]}")
+            if first.certificate[0] != (0, 3, Fraction(-8, 5)):
+                failures.append(f"n={n} first-index-1 entry is {first.certificate[0]}")
             last = span_restriction_test(
                 family.family_embeddings(n)[-1], family.action_fn(n)
             )
-            if last.induced_map[0][0] != Fraction(-1, 5):
-                failures.append(f"n={n} first-index-2 entry is {last.induced_map[0][0]}")
+            if last.certificate[0] != (0, 3, Fraction(-3, 5)):
+                failures.append(f"n={n} first-index-2 entry is {last.certificate[0]}")
 
 
 def test_criterion_5_lower_bounds_and_gaps():

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import goeritz
+import goeritz._intlinalg as la
 from goeritz import cli, family
 from goeritz.cli import DEFAULT_BUDGET, build_parser, main
 from goeritz.lattice import SignedPermutation
@@ -210,13 +212,36 @@ class TestEquivariantVerb:
         assert all(c["outcome"] == "refuted_rational" for c in classes)
         assert all(c["certificate"][0]["den"] == 5 for c in classes)
 
+    def test_k2_certificates_recheck(self, capsys):
+        # the README's re-check: with H the Hermite basis of the row lattice
+        # of the class, solve H X = f^T H over Q by forward substitution on
+        # the pivot rows of H; the certificate lists the non-integral
+        # entries of X^T, row by row
+        code, out, _ = run(capsys, "equivariant", "--preset", "k_n:2", "--format", "json")
+        assert code == 0
+        f = family.action_fn(2)
+        for c in json.loads(out)["classes"]:
+            h = la.column_hnf(la.transpose(c["class"]))
+            b = la.matmul(la.transpose(f), h)
+            x = []
+            for j, col in enumerate(zip(*h)):
+                p = next(i for i, v in enumerate(col) if v)
+                x.append([(v - sum(h[p][t] * x[t][k] for t in range(j))) / Fraction(h[p][j])
+                          for k, v in enumerate(b[p])])
+            assert la.matmul(h, x) == b
+            r = len(x)
+            assert c["certificate"] == [
+                {"row": i, "col": j, "num": x[j][i].numerator, "den": x[j][i].denominator}
+                for i in range(r) for j in range(r) if x[j][i].denominator != 1
+            ]
+
     def test_k2_text_is_frozen(self, capsys):
         code, out, err = run(capsys, "equivariant", "--preset", "k_n:2")
         assert (code, err) == (0, "")
         assert out == (
             "2 canonical embedding class(es)\n"
-            "class 1: refuted_rational (entry (1,1) = 2/5)\n"
-            "class 2: refuted_rational (entry (1,1) = -2/5)\n"
+            "class 1: refuted_rational (entry (1,4) = -6/5)\n"
+            "class 2: refuted_rational (entry (1,4) = -11/5)\n"
         )
 
     def test_text_builds_no_witness_matrix(self, capsys, monkeypatch):
@@ -230,9 +255,9 @@ class TestEquivariantVerb:
         assert out == (
             "4 canonical embedding class(es)\n"
             "class 1: witness\n"
-            "class 2: refuted_rational (entry (1,1) = 2/5)\n"
+            "class 2: refuted_rational (entry (1,4) = -6/5)\n"
             "class 3: witness\n"
-            "class 4: refuted_rational (entry (1,1) = -2/5)\n"
+            "class 4: refuted_rational (entry (1,4) = -11/5)\n"
         )
 
     def test_json_is_capped(self, capsys, monkeypatch, tmp_path):

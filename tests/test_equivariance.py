@@ -16,7 +16,6 @@ from goeritz.equivariance import (
     exists_equivariant_embedding,
     find_equivariant_witness,
     is_isometry,
-    saturation_basis,
     span_restriction_test,
 )
 from goeritz.lattice import (
@@ -74,10 +73,29 @@ def fraction_solve(a, b):
     return tuple(tuple(aug[i][n + j] for j in range(k)) for i in range(n))
 
 
+def integer_kernel(a, n):
+    """Z-basis of {v in Z^n : a @ v = 0}, as a list of vectors: the columns
+    of the Hermite basis of a stacked over the n x n identity that vanish on
+    the rows of a (an echelon basis meets that sublattice in a basis)."""
+    h = la.column_hnf(tuple(a) + la.identity(n))
+    return [col[len(a):] for col in zip(*h) if not any(col[: len(a)])]
+
+
+def saturation(rows):
+    """Column Hermite basis of the saturation of the lattice spanned by the
+    columns of rows: the integer vectors orthogonal to every integer vector
+    orthogonal to those columns."""
+    m = len(rows)
+    left = integer_kernel(la.transpose(rows), m)
+    return la.column_hnf(la.transpose(integer_kernel(left, m)))
+
+
 def oracle_span_test(phi, f):
-    """The span test by Fraction elimination, with the explicit isometry check
-    on the saturation that the library leaves out as implied."""
-    basis = saturation_basis(phi.matrix)
+    """The span test on the saturation of the image, by integer kernels, a
+    column HNF and Fraction elimination, with the explicit isometry check on
+    the saturation that the library leaves out as implied.  Its induced map
+    is written in the Hermite basis of the saturation."""
+    basis = saturation(phi.matrix)
     coords = fraction_solve(basis, phi.matrix)
     assert all(x.denominator == 1 for row in coords for x in row)
     coords = tuple(tuple(int(x) for x in row) for row in coords)
@@ -98,12 +116,42 @@ def oracle_span_test(phi, f):
     return SpanTestResult(induced, certificate)
 
 
+def checked_span_test(phi, f):
+    """span_restriction_test(phi, f), checked against the oracle: it passes
+    iff the oracle does, its induced map M satisfies H^T f = M H^T exactly
+    for the Hermite basis H of the row lattice of phi (which fixes M, as H^T
+    has full row rank), and its certificate lists the non-integral entries
+    of M."""
+    res = span_restriction_test(phi, f)
+    ht = la.transpose(la.column_hnf(la.transpose(phi.matrix)))
+    assert la.matmul(res.induced_map, ht) == la.matmul(ht, f)
+    assert res.certificate == tuple(
+        (i, j, x)
+        for i, row in enumerate(res.induced_map)
+        for j, x in enumerate(row)
+        if x.denominator != 1
+    )
+    assert res.passed == oracle_span_test(phi, f).passed
+    return res
+
+
 def span_first_verdict(phi, f):
     """Oracle: the span test first, then the row match."""
-    span = oracle_span_test(phi, f)
+    span = checked_span_test(phi, f)
     if not span.passed:
         return EquivarianceVerdict(certificate=span.certificate)
     return EquivarianceVerdict(witness=_match_rows(phi.matrix, la.matmul(phi.matrix, f)))
+
+
+def with_dependent_column(phi, f, v):
+    """([phi | phi v], [[f, f v - v], [0, 1]]): one more source column, the
+    combination v of the others, so the source form is semidefinite.  The
+    new action is an isometry of it: [phi | phi v] times it is
+    [phi f | phi f v]."""
+    v_col = tuple((x,) for x in v)
+    mat = tuple(row + extra for row, extra in zip(phi, la.matmul(phi, v_col)))
+    ext = tuple(row + (y - x,) for row, (y,), x in zip(f, la.matmul(f, v_col), v))
+    return mat, ext + ((0,) * len(v) + (1,),)
 
 
 # |entry| shapes of small vectors by squared norm.  Two shapes of one norm
@@ -120,15 +168,17 @@ TWIN_NORMS = [norm for norm in NORMS if len(SHAPES[norm]) > 1]
 
 @st.composite
 def invariant_embeddings(draw):
-    """(phi, f): an embedding of a definite form and an isometry f of it.
+    """(phi, f): an embedding of a definite or semidefinite form and an
+    isometry f of it.
 
     The columns come in blocks.  Every column of a block has the same norm,
     its own disjoint support, and the block's shared vector c on a few common
     coordinates, so every permutation of a block's columns preserves the
     form; f rotates each block, and negates columns where c = 0.  Twin
-    shapes within a block make all three outcomes occur.  Zero rows, a
-    signed permutation of the rows and a relabelling of the source basis are
-    drawn too.
+    shapes within a block make all three outcomes occur.  Zero rows, up to
+    two dependent columns (with_dependent_column, so the form may be
+    semidefinite), a signed permutation of the rows and a relabelling of the
+    source basis are drawn too.
     """
     shared = draw(st.integers(0, 2))
     cols, images = [], []
@@ -158,12 +208,17 @@ def invariant_embeddings(draw):
     f = [[0] * n for _ in range(n)]
     for j, (img, flip) in enumerate(images):
         f[img][j] = flip
+    rows, f = la.freeze(rows), la.freeze(f)
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        v = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        rows, f = with_dependent_column(rows, f, v)
+        n += 1
     t = SignedPermutation(
         tuple(draw(st.permutations(range(m)))),
         tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))),
     )
     q = draw(st.permutations(range(n)))
-    phi = la.freeze([[row[q[k]] for k in range(n)] for row in t.apply_rows(la.freeze(rows))])
+    phi = la.freeze([[row[q[k]] for k in range(n)] for row in t.apply_rows(rows)])
     f = la.freeze([[f[q[a]][q[b]] for b in range(n)] for a in range(n)])
     sign = draw(st.sampled_from((1, -1)))
     g = la.scale(sign, la.matmul(la.transpose(phi), phi))
@@ -304,23 +359,30 @@ class TestSpanRestriction:
         phi = family.family_embeddings(2)[0]  # psi_1, first index 1
         res = span_restriction_test(phi, family.action_fn(2))
         assert not res.passed
-        assert res.certificate
-        assert res.induced_map[0][0] == Fraction(2, 5)
+        assert res.certificate == ((0, 3, Fraction(-11, 5)), (1, 3, Fraction(-3, 5)))
 
     def test_k2_psi2_denominator(self):
         phi = family.family_embeddings(2)[1]  # psi_2, first index 2
         res = span_restriction_test(phi, family.action_fn(2))
-        assert res.induced_map[0][0] == Fraction(-2, 5)
+        assert res.certificate == ((0, 3, Fraction(-6, 5)), (1, 3, Fraction(-8, 5)))
 
     def test_k4_psi1_denominator(self):
         phi = family.family_embeddings(4)[0]  # psi_1 + psi_1
         res = span_restriction_test(phi, family.action_fn(4))
-        assert res.induced_map[0][0] == Fraction(1, 5)
+        assert res.certificate == tuple(
+            (i, j, Fraction(x, 5))
+            for i, j, x in [(0, 3, -8), (0, 7, -3), (1, 3, -4), (1, 7, 1),
+                            (4, 3, -3), (4, 7, -8), (5, 3, 1), (5, 7, -4)]
+        )
 
     def test_k4_psi2_first_denominator(self):
         phi = family.family_embeddings(4)[-1]  # psi_2 + psi_2
         res = span_restriction_test(phi, family.action_fn(4))
-        assert res.induced_map[0][0] == Fraction(-1, 5)
+        assert res.certificate == tuple(
+            (i, j, Fraction(x, 5))
+            for i, j, x in [(0, 3, -3), (0, 7, -3), (1, 3, -9), (1, 7, 1),
+                            (4, 3, -3), (4, 7, -3), (5, 3, 1), (5, 7, -9)]
+        )
 
     def test_k3_family_denominators(self):
         for phi in family.family_embeddings(3):
@@ -328,33 +390,56 @@ class TestSpanRestriction:
             assert not res.passed
             assert any(x.denominator == 5 for _, _, x in res.certificate)
 
+    @pytest.mark.parametrize("v", [(0, 0, 0, 0), (1, 0, 0, 0), (1, -1, 0, 1)])
+    def test_semidefinite_source(self, v):
+        # K_2's psi_2 with a zero, a repeated or a dependent fifth column:
+        # the source form is semidefinite, the rows still fail to match, and
+        # the certificate is psi_2's, in the first four columns of the
+        # induced map
+        phi = family.family_embeddings(2)[1]
+        mat, f = with_dependent_column(phi.matrix, family.action_fn(2), v)
+        g = la.scale(phi.target.sign, la.matmul(la.transpose(mat), mat))
+        emb = LatticeEmbedding(mat, GramLattice(g), phi.target)
+        assert not any(itertools.chain(*la.matmul(g, tuple((x,) for x in v + (-1,)))))
+        res = checked_span_test(emb, f)
+        assert res.certificate == ((0, 3, Fraction(-6, 5)), (1, 3, Fraction(-8, 5)))
+        assert find_equivariant_witness(emb, f).outcome == "refuted_rational"
+
     @settings(max_examples=150, deadline=None)
     @given(invariant_embeddings())
     def test_agrees_with_fraction_oracle(self, case):
-        phi, f = case
-        assert repr(span_restriction_test(phi, f)) == repr(oracle_span_test(phi, f))
+        checked_span_test(*case)
 
     def test_fixtures_agree_with_fraction_oracle(self):
         for phi, f in fixture_cases():
-            assert repr(span_restriction_test(phi, f)) == repr(oracle_span_test(phi, f))
+            checked_span_test(phi, f)
 
     @settings(max_examples=150, deadline=None)
     @given(invariant_embeddings())
     def test_integral_induced_map_is_isometry_of_saturation(self, case):
-        # Why the span test needs no isometry check of its own.
+        # phi maps L' = {y : phi y integral} onto the saturation: the basis D
+        # dual to H (H^T D = Id, D in the row space) goes to a basis of it,
+        # on which the induced map preserves the form.  So an integral
+        # induced map is an isometry of the saturation, and the span test
+        # needs no isometry check of its own.
         phi, f = case
         res = span_restriction_test(phi, f)
-        if res.certificate:
-            return
-        m_int = tuple(tuple(int(x) for x in row) for row in res.induced_map)
-        basis = saturation_basis(phi.matrix)
+        h = la.column_hnf(la.transpose(phi.matrix))
+        ht = la.transpose(h)
+        d = la.transpose(fraction_solve(la.matmul(ht, h), ht))
+        assert la.matmul(ht, d) == la.identity(len(ht))
+        image = la.matmul(phi.matrix, d)
+        assert all(x.denominator == 1 for row in image for x in row)
+        basis = tuple(tuple(int(x) for x in row) for row in image)
+        assert la.column_hnf(basis) == saturation(phi.matrix)
         form = la.scale(phi.target.sign, la.matmul(la.transpose(basis), basis))
-        assert la.matmul(la.matmul(la.transpose(m_int), form), m_int) == form
-        assert res.passed
+        m = res.induced_map
+        assert la.matmul(la.matmul(la.transpose(m), form), m) == form
 
     def test_zero_rows_change_nothing(self):
-        # zero rows lie outside the span: interleaved anywhere or removed,
-        # the induced map and the certificate stay the same
+        # the result depends only on the row lattice: zero rows interleaved
+        # anywhere or removed, and rows permuted and negated, leave the
+        # induced map and the certificate the same
         rng = random.Random(11)
         for phi, f in fixture_cases():
             rows = [row for row in phi.matrix if any(row)]
@@ -364,20 +449,21 @@ class TestSpanRestriction:
                 mixed = list(rows)
                 for _ in range(extra):
                     mixed.insert(rng.randrange(len(mixed) + 1), zero)
+                t = random_signed_permutation(len(mixed), rng)
                 target = StandardTarget(len(mixed), phi.target.sign)
-                emb = LatticeEmbedding(tuple(mixed), phi.source, target)
+                emb = LatticeEmbedding(t.apply_rows(tuple(mixed)), phi.source, target)
                 results.add(repr(span_restriction_test(emb, f)))
             assert results == {repr(span_restriction_test(phi, f))}
 
-    def test_kernel_basis_sees_only_the_nonzero_rows(self, monkeypatch):
+    def test_column_hnf_sees_only_the_nonzero_rows(self, monkeypatch):
         seen = []
-        kernel_basis = la.kernel_basis
+        column_hnf = la.column_hnf
 
         def spy(a):
             seen.append(la.shape(a))
-            return kernel_basis(a)
+            return column_hnf(a)
 
-        monkeypatch.setattr(la, "kernel_basis", spy)
+        monkeypatch.setattr(la, "column_hnf", spy)
         for phi, f in fixture_cases():
             zero = (0,) * phi.source.rank
             padded = LatticeEmbedding(
@@ -387,14 +473,13 @@ class TestSpanRestriction:
             nonzero = sum(1 for row in phi.matrix if any(row))
             seen.clear()
             span_restriction_test(padded, f)
-            # kernel_basis(a) reads a's columns as phi's rows
-            assert seen and all(cols <= nonzero for _, cols in seen)
+            # column_hnf(a) reads a's columns as phi's rows
+            assert seen == [(phi.source.rank, nonzero)]
 
-    def test_saturation_basis_of_family_is_coordinate_prefix(self):
+    def test_oracle_saturation_of_family_is_coordinate_prefix(self):
         # even n: the image saturates to the first 2n coordinates
         phi = family.family_embeddings(2)[0]
-        basis = saturation_basis(phi.matrix)
-        assert basis == tuple(
+        assert saturation(phi.matrix) == tuple(
             tuple(1 if i == j else 0 for j in range(4)) for i in range(5)
         )
 
@@ -429,17 +514,17 @@ class TestFindWitness:
         v = find_equivariant_witness(phi, la.identity(6))
         assert v.witness == SignedPermutation(tuple(range(7)), (1,) * 7)
 
-    def test_k2_refuted_with_2_5_certificate(self):
+    def test_k2_refuted_with_fifths_certificate(self):
         phi = family.family_embeddings(2)[0]
         v = find_equivariant_witness(phi, family.action_fn(2))
         assert v.outcome == "refuted_rational"
-        assert any(abs(x) == Fraction(2, 5) for _, _, x in v.certificate)
+        assert v.certificate == ((0, 3, Fraction(-11, 5)), (1, 3, Fraction(-3, 5)))
 
-    def test_k4_refuted_with_1_5_certificate(self):
+    def test_k4_refuted_with_fifths_certificate(self):
         phi = family.family_embeddings(4)[0]
         v = find_equivariant_witness(phi, family.action_fn(4))
         assert v.outcome == "refuted_rational"
-        assert any(abs(x) == Fraction(1, 5) for _, _, x in v.certificate)
+        assert v.certificate[:2] == ((0, 3, Fraction(-8, 5)), (0, 7, Fraction(-3, 5)))
 
     def test_precondition_checked(self):
         phi = family.psi_block(3)

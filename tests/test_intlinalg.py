@@ -286,14 +286,6 @@ def full_column_rank(draw):
     return a
 
 
-class TestHnfCoordinates:
-    @given(full_column_rank(), st.data())
-    def test_recovers_integer_coordinates(self, a, data):
-        h = la.column_hnf(a)
-        x = data.draw(int_matrix(len(a[0]), data.draw(st.integers(1, 4)), bound=5))
-        assert la.hnf_coordinates(h, la.matmul(h, x)) == x
-
-
 def oracle_matmul(a, b):
     """a @ b by the triple loop, with matmul's truncation: the width of the
     shortest row of b, and len(b) terms per entry at most."""
@@ -362,137 +354,6 @@ class TestMatmul:
         assert all(type(x) is int for row in got for x in row)
 
 
-def dense_solve(a, b):
-    """The dense fraction-free Gauss-Jordan pass: every row other than the
-    pivot row is rewritten at every step, even when its multiplier is 0."""
-    m, n = la.shape(a)
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, m) if rows[i][k]), None)
-        if piv is None:
-            raise ValueError("solve_fraction_free requires full column rank")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        row_k = rows[k]
-        p = row_k[k]
-        for i in range(m):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], row_k)]
-        prev = p
-    if any(any(row[n:]) for row in rows[n:]):
-        raise ValueError("inconsistent linear system")
-    return la.freeze(row[n:] for row in rows[:n]), prev
-
-
-def solve_outcome(solve, a, b):
-    """(num, det), or the message of the ValueError raised."""
-    try:
-        return solve(a, b)
-    except ValueError as exc:
-        return str(exc)
-
-
-@st.composite
-def sparse_systems(draw):
-    """(a, b) with a of full column rank, or close to it, whose elimination
-    leaves many rows untouched for several steps, so their entries are
-    brought up to date late: scaled signed permutations, block-diagonal
-    matrices, scaled identities with a few dense rows, and random sparse
-    matrices; the rows of a are then shuffled.  b is a @ x for an integer
-    x, or random (then a tall system is mostly inconsistent)."""
-    kind = draw(st.sampled_from(["monomial", "blocks", "identity+dense", "sparse"]))
-    n = draw(st.integers(1, 8))
-    extra = draw(st.integers(0, 3))
-    a = [[0] * n for _ in range(n + extra)]
-    if kind == "monomial":
-        perm = draw(st.permutations(range(n)))
-        for i, j in enumerate(perm):
-            a[i][j] = draw(st.sampled_from((1, -1, 2, -2, 3, 5, -7)))
-    elif kind == "blocks":
-        start = 0
-        while start < n:
-            size = min(n - start, draw(st.integers(1, 3)))
-            block = draw(int_matrix(size, size, bound=4))
-            for i, row in enumerate(block):
-                a[start + i][start : start + size] = row
-            start += size
-    elif kind == "identity+dense":
-        for i in range(n):
-            a[i][i] = draw(st.sampled_from((1, -1, 2, 3)))
-        dense = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
-        for i in draw(st.sets(st.integers(0, n + extra - 1), max_size=3)):
-            a[i] = draw(dense)
-    else:
-        entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4))
-        a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                          min_size=n + extra, max_size=n + extra))
-    for i in range(n, n + extra):  # some tall rows: the sum of two rows above
-        if draw(st.booleans()):
-            a[i] = [x + y for x, y in zip(a[i - n], a[(i + 1) % n])]
-    a = la.freeze(draw(st.permutations(a)))
-    k = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        b = la.matmul(a, draw(int_matrix(n, k, bound=5)))
-    else:
-        b = draw(int_matrix(n + extra, k, bound=5))
-    return a, b
-
-
-class TestSolveFractionFree:
-    @given(full_column_rank(), st.data())
-    def test_square_matches_fraction_solution(self, a, data):
-        n = len(a[0])
-        a = a[:n] if oracle_det(a[:n]) else la.matmul(la.transpose(a), a)
-        b = data.draw(int_matrix(n, data.draw(st.integers(1, 4)), bound=5))
-        num, det = la.solve_fraction_free(a, b)
-        assert det != 0
-        assert la.matmul(a, num) == la.scale(det, b)
-        # the solution is unique, so x = num / det is the Cramer solution
-        d = oracle_det(a)
-        for j in range(len(b[0])):
-            for i in range(n):
-                swapped = [list(row) for row in a]
-                for r in range(n):
-                    swapped[r][i] = b[r][j]
-                assert Fraction(num[i][j], det) == Fraction(oracle_det(swapped), d)
-
-    @given(full_column_rank(), st.data())
-    def test_consistent_rectangular_system(self, a, data):
-        x = data.draw(int_matrix(len(a[0]), 2, bound=5))
-        num, det = la.solve_fraction_free(a, la.matmul(a, x))
-        assert la.scale(det, x) == num
-
-    @settings(max_examples=400, deadline=None)
-    @given(sparse_systems())
-    # row 2 skips step 0; step 1 swaps it in as the pivot row for row 1,
-    # which step 0 rewrote and which is now zero in column 1
-    @example((((3, 1, 0), (6, 2, 1), (0, 5, 1)), ((1,), (2,), (3,))))
-    # row 1 skips steps 0 and 1, moves down in the swap of step 1 and is
-    # the pivot row of step 2
-    @example((((2, 1, 0), (0, 0, 3), (1, 4, 0)), ((1, 0), (0, 1), (5, 5))))
-    def test_sparse_systems_match_dense_pass(self, system):
-        a, b = system
-        assert solve_outcome(la.solve_fraction_free, a, b) == solve_outcome(
-            dense_solve, a, b
-        )
-
-    @given(full_column_rank(), st.data())
-    def test_dense_systems_match_dense_pass(self, a, data):
-        b = data.draw(int_matrix(len(a), data.draw(st.integers(1, 3)), bound=5))
-        assert solve_outcome(la.solve_fraction_free, a, b) == solve_outcome(
-            dense_solve, a, b
-        )
-
-    def test_rank_deficient_is_value_error(self):
-        with pytest.raises(ValueError, match="rank"):
-            la.solve_fraction_free(((1, 2), (2, 4)), ((1,), (2,)))
-
-    def test_inconsistent_is_value_error(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            la.solve_fraction_free(((1,), (1,)), ((1,), (2,)))
-
-
 def oracle_rank(a) -> int:
     """Rank over the rationals by Fraction Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in a]
@@ -526,57 +387,73 @@ def matrices():
     return st.one_of(any_rank(), dims.flatmap(lambda d: int_matrix(*d)))
 
 
-class TestKernelBasis:
-    @given(matrices())
-    @example(((0, 0), (0, 0)))
-    @example(((1, 0), (0, 1)))
-    def test_saturated_kernel_of_full_dimension(self, a):
-        n = len(a[0])
-        k = la.kernel_basis(a)
-        assert la.shape(k) == (n, n - oracle_rank(a))
-        assert all(not any(row) for row in la.matmul(a, k))
-        cols = len(k[0])
-        if cols:
-            assert oracle_rank(k) == cols
-            # saturated iff the maximal minors are coprime
-            minors = [oracle_det([k[i] for i in rows])
-                      for rows in itertools.combinations(range(n), cols)]
-            assert math.gcd(*minors) == 1
+def oracle_minor_gcd(a, r) -> int:
+    """The gcd of the r x r minors of a.  Unimodular column operations and
+    zero columns leave it unchanged, so for a of rank r it depends only on
+    the lattice the columns span, and a sublattice of rank r and index k has
+    k times the value."""
+    m, n = la.shape(a)
+    return math.gcd(*(
+        oracle_det([[a[i][j] for j in cols] for i in rows])
+        for rows in itertools.combinations(range(m), r)
+        for cols in itertools.combinations(range(n), r)
+    ))
 
-    @pytest.mark.parametrize(
-        "a, want",
-        [
-            (((1, 2, 3), (4, 5, 6)), ((1,), (-2,), (1,))),
-            (((2, 4, 6), (1, 2, 3)), ((-2, -3), (1, 0), (0, 1))),
-            (((0, 0), (0, 0)), ((1, 0), (0, 1))),
-            (((1, 0), (0, 1)), ((), ())),
-            (((6, 10, 15),), ((-5, 5), (-3, 0), (4, -2))),
-            # floor division: truncating quotients give another basis here
-            (((1, 4, -5), (2, -5, -3)), ((-37,), (-7,), (-13,))),
-            (
-                ((0, 3, -6, 9), (0, 2, -4, 6), (1, 1, 1, 1)),
-                ((-3, 2), (2, -3), (1, 0), (0, 1)),
-            ),
-        ],
-    )
-    def test_fixed_outputs(self, a, want):
-        assert la.kernel_basis(a) == want
+
+def fraction_coordinates(h, b):
+    """The x with (h @ x)[p] = b[p] on each pivot row p of the Hermite basis
+    h, by Fraction forward substitution."""
+    m, r = la.shape(h)
+    x = []
+    for j in range(r):
+        p = next(i for i in range(m) if h[i][j])
+        x.append([
+            (v - sum(h[p][t] * x[t][k] for t in range(j))) / Fraction(h[p][j])
+            for k, v in enumerate(b[p])
+        ])
+    return x
+
+
+def assert_hermite_basis_of(h, a):
+    """h is in Hermite form and its columns span the lattice of a's."""
+    r = oracle_rank(a)
+    assert la.shape(h) == (len(a), r)
+    pivots = [next(i for i, x in enumerate(col) if x) for col in zip(*h)]
+    assert pivots == sorted(set(pivots))  # strictly increasing
+    for j, p in enumerate(pivots):
+        assert h[p][j] > 0
+        assert all(0 <= h[p][t] < h[p][j] for t in range(j))
+    if not r:
+        return  # a is zero, and h has no columns
+    # a's columns are integer combinations of h's, and span a lattice of
+    # index 1 in h's
+    x = fraction_coordinates(h, a)
+    assert all(v.denominator == 1 for row in x for v in row)
+    assert la.matmul(h, x) == a
+    assert oracle_minor_gcd(h, r) == oracle_minor_gcd(a, r)
 
 
 class TestColumnHnf:
-    @given(full_column_rank())
+    @given(matrices())
+    @example(((0, 0), (0, 0)))
+    @example(((1, 2), (1, 2), (0, 0)))
     def test_hermite_shape_and_same_lattice(self, a):
-        h = la.column_hnf(a)
-        assert la.shape(h) == la.shape(a)
-        pivots = [next(i for i, x in enumerate(col) if x) for col in zip(*h)]
-        assert pivots == sorted(set(pivots))  # strictly increasing
-        for j, p in enumerate(pivots):
-            assert h[p][j] > 0
-            assert all(0 <= h[p][t] < h[p][j] for t in range(j))
-        # each basis is an integer combination of the other
-        for x, y in ((a, h), (h, a)):
-            num, det = la.solve_fraction_free(x, y)
-            assert all(v % det == 0 for row in num for v in row)
+        assert_hermite_basis_of(la.column_hnf(a), a)
+
+    @given(matrices(), st.data())
+    def test_depends_only_on_the_lattice(self, a, data):
+        # shuffled, negated, one added to another, a zero and a repeated
+        # column: other generators of the same lattice
+        n = len(a[0])
+        cols = [list(col) for col in zip(*a)]
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(-2, 2))
+        if i != j:
+            cols[i] = [x + k * y for x, y in zip(cols[i], cols[j])]
+        cols = [[-x for x in col] if data.draw(st.booleans()) else col for col in cols]
+        cols += [[0] * len(a), cols[i]]
+        cols = data.draw(st.permutations(cols))
+        assert la.column_hnf(la.transpose(cols)) == la.column_hnf(a)
 
     @pytest.mark.parametrize(
         "a, want",
@@ -589,15 +466,65 @@ class TestColumnHnf:
                 ((1, 2, 3), (4, 5, 6), (7, 8, 10)),
                 ((1, 0, 0), (1, 3, 0), (0, 0, 1)),
             ),
+            # zero columns are dropped
+            (((0, 0), (0, 0)), ((), ())),
+            (((0,),), ((),)),
+            (((0, 4), (0, -6)), ((4,), (-6,))),
+            # a repeated column is dropped
+            (((2, 2, 0), (1, 1, 3), (4, 4, 5)), ((2, 0), (1, 3), (4, 5))),
+            # dependent columns are reduced to a basis
+            (((1, 2), (2, 4)), ((1,), (2,))),
+            (((1, 0, 2),), ((1,),)),
+            (((6, 10, 15),), ((1,),)),
+            (((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((1, 0), (1, 3), (1, 6))),
+            (
+                ((3, -3, 0, 1), (1, -1, 2, 0), (0, 0, 4, 1)),
+                ((1, 0, 0), (0, 1, 0), (1, 7, 10)),
+            ),
         ],
     )
     def test_fixed_outputs(self, a, want):
         assert la.column_hnf(a) == want
+        assert_hermite_basis_of(want, a)
 
-    @pytest.mark.parametrize("a", [((1, 2), (2, 4)), ((0,),), ((1, 0, 2),)])
-    def test_rank_deficient_is_value_error(self, a):
-        with pytest.raises(ValueError, match="full column rank"):
-            la.column_hnf(a)
+
+class TestHnfCoordinates:
+    @given(full_column_rank(), st.data())
+    def test_recovers_integer_coordinates(self, a, data):
+        h = la.column_hnf(a)
+        x = data.draw(int_matrix(len(a[0]), data.draw(st.integers(1, 4)), bound=5))
+        num, det = la.hnf_coordinates(h, la.matmul(h, x))
+        assert num == la.scale(det, x)
+
+    @given(matrices(), st.data())
+    def test_matches_fraction_forward_substitution(self, a, data):
+        # h spans a sublattice of a's lattice of the same rank, so b = a @ y
+        # lies in the span of h and its coordinates are rational
+        n = len(a[0])
+        u = data.draw(int_matrix(n, n))
+        sub = la.matmul(a, u)
+        assume(oracle_rank(sub) == oracle_rank(a))
+        h = la.column_hnf(sub)
+        b = la.matmul(a, data.draw(int_matrix(n, data.draw(st.integers(1, 3)), bound=5)))
+        num, det = la.hnf_coordinates(h, b)
+        assert det == math.prod(next(x for x in col if x) for col in zip(*h))
+        assert [[Fraction(v, det) for v in row] for row in num] == fraction_coordinates(h, b)
+        if num:  # when a is zero, h and num are empty and b is zero
+            assert la.matmul(h, num) == la.scale(det, b)
+
+    @pytest.mark.parametrize(
+        "h, b, want",
+        [
+            # pivots 2 and 3: b's coordinates 1/2 and -1/6 over det = 6
+            (((2, 0), (1, 3), (0, 0)), ((1,), (0,), (0,)), (((3,), (-1,)), 6)),
+            # integral coordinates 2 and -1, scaled by det = 6
+            (((2, 0), (1, 3), (0, 0)), ((4, 0), (-1, 0), (0, 0)), (((12, 0), (-6, 0)), 6)),
+            # a unimodular basis: det = 1, and b is read off the pivot rows
+            (((1, 0), (3, 0), (0, 1)), ((2,), (6,), (-5,)), (((2,), (-5,)), 1)),
+        ],
+    )
+    def test_fixed_outputs(self, h, b, want):
+        assert la.hnf_coordinates(h, b) == want
 
 
 class TestPermutationMatrix:
