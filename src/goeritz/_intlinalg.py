@@ -4,21 +4,17 @@ algorithm and encoding in the package.
 Matrices are immutable tuples of row tuples of plain Python ints (arbitrary
 precision).  A permutation matrix is encoded by its images: column i has its
 1 in row images[i] (`permutation_matrix`, `permutation_images`).  One gcd
-column elimination (`_echelon`) gives the Hermite basis of a column lattice,
-and integer forward substitution on that basis gives rational coordinates
-as an integer numerator matrix over one common denominator.  One
-fraction-free (Bareiss) pass decides definiteness, on sparse rows in
-minimum-degree order.  Everything here is exact; no floating point appears
+column elimination (`column_hnf`) gives the Hermite basis of a column
+lattice, and integer forward substitution on that basis gives rational
+coordinates as an integer numerator matrix over one common denominator.
+One symmetric elimination on primitive sparse rows, in minimum-degree order,
+decides definiteness.  Everything here is exact; no floating point appears
 anywhere in the package.
 
 The matrices met here are sparse (forms, actions, embeddings), and the
 kernels cost what their nonzero entries ask for.  The product adds only
-nonzero entries times the stored nonzero entries of b.  The Bareiss pass
-leaves a row whose multiplier at a step is 0 as it is and stamps it with the
-step its entries belong to: the dense pass would only multiply it by
-minors[s + 1] / minors[s], and the factors of the skipped steps telescope,
-so when the row is next read at step t one exact division,
-x * minors[t] // minors[stamp], brings it up to date.
+nonzero entries times the stored nonzero entries of b, and the definiteness
+elimination touches only the rows that meet the pivot column.
 """
 
 from __future__ import annotations
@@ -93,20 +89,17 @@ def is_symmetric(a) -> bool:
     )
 
 
-def is_permutation_matrix(a) -> bool:
-    n, m = shape(a)
-    if n != m:
-        return False
-    return all(sorted(row) == [0] * (n - 1) + [1] for row in a) and all(
-        sorted(col) == [0] * (n - 1) + [1] for col in zip(*a)
-    )
-
-
 def permutation_images(a) -> tuple[int, ...]:
-    """Images of the permutation matrix a: column i has its 1 in row p(i)."""
-    if not is_permutation_matrix(a):
+    """Images of the permutation matrix a: column i has its 1 in row p(i).
+
+    The images are the rows of the first 1 of each column that has one.
+    a is a permutation matrix iff they are a permutation of range(len(a))
+    and the permutation matrix they give is a again; ValueError otherwise.
+    """
+    images = tuple(col.index(1) for col in zip(*a) if 1 in col)
+    if sorted(images) != list(range(len(a))) or permutation_matrix(images) != freeze(a):
         raise ValueError("not a permutation matrix")
-    return tuple(col.index(1) for col in zip(*a))
+    return images
 
 
 def permutation_matrix(images) -> IntMatrix:
@@ -142,33 +135,34 @@ def preserves_form(images, g) -> bool:
 def is_positive_definite(a, sign: int) -> bool:
     """True iff sign * a is positive definite, for a symmetric integer matrix a.
 
-    One symmetric fraction-free (Bareiss) elimination on sparse rows: row i
-    maps each column to its nonzero entry of sign * a.  Each step pivots on
-    the live index whose row stores the fewest entries, ties going to the
-    lowest index (minimum degree), so a sparse form gets little fill-in.
+    One symmetric elimination on sparse rows: row i maps each column to its
+    nonzero entry of sign * a.  Each step pivots on the live index whose row
+    stores the fewest entries, ties going to the lowest index (minimum
+    degree), so a sparse form gets little fill-in.  Pivot k, with stored
+    pivot p = row_k[k], turns each row j that meets column k into
+    p * row_j - row_j[k] * row_k without column k, divided by the gcd of its
+    entries.
 
-    Why it is correct.  Let k_1, k_2, ... be the pivots' indices and S_s the
-    first s of them.  After s steps, entry (i, j) of the eliminated matrix is
-    the bordered minor det(A[S_s + i, S_s + j]) of A = sign * a (Bareiss,
-    Math. Comp. 1968), so the pivot of step s + 1 is the (s + 1)-th leading
-    principal minor of P^T A P, P the permutation k_1, k_2, ...  P^T A P is
-    congruent to A, so by Sylvester's criterion A is positive definite iff
-    every pivot is positive, and the elimination stops at the first pivot
-    that is not.
+    Why it is correct.  Let S be the Schur complement, in A = sign * a, of
+    the pivots taken so far (S = A at the start); S is symmetric.  S is
+    positive definite iff S[k][k] > 0 and the Schur complement of that entry
+    is positive definite, so A is positive definite iff every pivot of S is
+    positive (Sylvester's criterion on A in pivot order, which is congruent
+    to A).  Each stored row j is c_j times row j of S, some c_j > 0 (1 at
+    the start), and p * row_j - row_j[k] * row_k is c_j * c_k * S[k][k]
+    times row j of the next S: a positive multiple again when p > 0.  So
+    p = c_k * S[k][k] has the sign of S[k][k], and the elimination stops at
+    the first p <= 0.  The stored zero pattern is that of the symmetric S,
+    so the rows that meet column k are the columns stored in row k, and the
+    heap sees the counts of an elimination on S itself.  The multiplier is
+    row_j[k], not row_k[j]: the two rows carry different factors c.
 
-    Why every division is exact.  minors[s] is the s-th leading minor of
-    P^T A P (minors[0] = 1).  Step s + 1, with pivot p and pivot row y, turns
-    a row x whose entry f in the pivot column is nonzero into
-    (p * x - f * y) // minors[s], entrywise: each quotient is a bordered minor
-    of step s + 1, an integer.  A row with f = 0 would only be multiplied by
-    minors[s + 1] / minors[s], so it is left as it is and stamp records the
-    step its entries belong to.  When it is next read, at step s, each entry
-    x becomes x * minors[s] // minors[stamp], again a bordered minor.  All
-    those minors are positive, so no stored entry becomes zero by rescaling.
+    Why entries stay small.  The gcd division leaves each row primitive,
+    so it divides the row of a fraction-free (Bareiss) elimination in the
+    same order, an integer row in the same direction (a leading minor times
+    that row of S; Bareiss, Math. Comp. 1968): no entry grows past Bareiss.
     """
     rows = {i: {j: sign * x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
-    stamp = [0] * len(rows)
-    minors = [1]
     # (stored entries, index) of every live row; an entry whose count is out
     # of date is skipped, as its row pushed a new one when the count changed
     heap = sorted((len(row), i) for i, row in rows.items())
@@ -178,48 +172,42 @@ def is_positive_definite(a, sign: int) -> bool:
         if row_k is None or len(row_k) != size:
             continue
         del rows[k]
-        s, prev = len(minors) - 1, minors[-1]
-        row_k = _rescaled(row_k, prev, minors[stamp[k]])
         p = row_k.pop(k, 0)
         if p <= 0:
             return False
-        for j, f in row_k.items():
-            new = {
-                c: p * x
-                for c, x in _rescaled(rows[j], prev, minors[stamp[j]]).items()
-                if c != k
-            }
+        for j in row_k:
+            f = rows[j].pop(k)
+            new = {c: p * x for c, x in rows[j].items()}
             for c, y in row_k.items():
                 new[c] = new.get(c, 0) - f * y
-            rows[j] = row_j = {c: v // prev for c, v in new.items() if v}
-            stamp[j] = s + 1
+            g = math.gcd(*new.values())  # zeros leave it as it is; 0 divides nothing
+            rows[j] = row_j = {c: v // g for c, v in new.items() if v}
             heapq.heappush(heap, (len(row_j), j))
-        minors.append(p)
     return True
 
 
-def _rescaled(row: dict[int, int], num: int, den: int) -> dict[int, int]:
-    """The entries of row times num / den, each quotient known to be exact."""
-    if num == den:
-        return row
-    return {c: x * num // den for c, x in row.items()}
+def column_hnf(a) -> IntMatrix:
+    """Hermite basis of the lattice spanned by the columns of a: an m x r
+    matrix, r the rank of a.
 
+    Pivots appear in increasing row order, one per column, are positive, and
+    entries in a pivot row to the left of the pivot are reduced into
+    [0, pivot).  Dependent columns (zero, repeated or combinations of others)
+    are reduced to zero and dropped, so the basis depends only on the
+    lattice.
 
-def _echelon(cols: list[list[int]], rows: int) -> list[int]:
-    """Column echelon form of the first `rows` rows by gcd elimination, in
-    place; returns the pivot row of each of the first r = rank columns.
-
-    Row by row, the columns from r on are reduced by integer division until
-    one nonzero entry is left in that row, which becomes the pivot of column
-    r.  Only unimodular column operations are used, so the columns keep their
-    lattice, and the columns past r end up zero in the first `rows` rows.
-    Columns from r on are zero above the current row, so each update starts
-    there.
+    Row by row, the columns from r on (r the pivots found so far) are
+    reduced by integer division until one nonzero entry is left in that
+    row, which becomes the pivot of column r.  Only unimodular column
+    operations are used, so the columns keep their lattice, and the columns
+    past the rank end up zero.  Columns from r on are zero above the
+    current row, so each update starts there.
     """
-    n = len(cols)
-    lead = 0
+    m, n = shape(a)
+    cols = [[row[j] for row in a] for j in range(n)]
     pivots = []
-    for row in range(rows):
+    for row in range(m):
+        lead = len(pivots)
         if lead == n:
             break
         while True:
@@ -244,24 +232,7 @@ def _echelon(cols: list[list[int]], rows: int) -> list[int]:
                         done = False
             if done:
                 pivots.append(row)
-                lead += 1
                 break
-    return pivots
-
-
-def column_hnf(a) -> IntMatrix:
-    """Hermite basis of the lattice spanned by the columns of a: an m x r
-    matrix, r the rank of a.
-
-    Pivots appear in increasing row order, one per column, are positive, and
-    entries in a pivot row to the left of the pivot are reduced into
-    [0, pivot).  Dependent columns (zero, repeated or combinations of others)
-    are reduced to zero and dropped, so the basis depends only on the
-    lattice.
-    """
-    m, n = shape(a)
-    cols = [[row[j] for row in a] for j in range(n)]
-    pivots = _echelon(cols, m)
     del cols[len(pivots):]
     for k, row in enumerate(pivots):
         col = cols[k]

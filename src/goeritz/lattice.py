@@ -126,8 +126,9 @@ class LatticeEmbedding:
 
 
 def is_definite(lat: GramLattice, sign: int) -> bool:
-    """Exact test that sign * G is positive definite: Sylvester's criterion
-    on the pivots of one sparse fraction-free elimination in minimum-degree
+    """Exact test that sign * G is positive definite: the sign of every pivot
+    of one sparse symmetric elimination on primitive rows, each a positive
+    multiple of a row of the current Schur complement, in minimum-degree
     order (`_intlinalg.is_positive_definite`)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
