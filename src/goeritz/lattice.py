@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -267,30 +266,6 @@ def _half_powers(f: list[list[tuple[int, int]]]) -> list[list[list[tuple[int, in
     return powers[: (len(powers) + 1) // 2]
 
 
-def _image(
-    terms: list[tuple[int, int]], cols: tuple[tuple[int, ...], ...]
-) -> tuple[int, ...]:
-    """The column sum of c * cols[i] over the terms (i, c)."""
-    scaled = [cols[i] if c == 1 else tuple(c * x for x in cols[i]) for i, c in terms]
-    return scaled[0] if len(scaled) == 1 else tuple(map(sum, zip(*scaled)))
-
-
-def _extend_rows(
-    ids: list[int], signs: list[int], column: tuple[int, ...]
-) -> tuple[list[int], list[int]]:
-    """Ids and signs of rows once each gets its entry of column appended.
-
-    A row's sign is that of its first nonzero entry (0 while it has none),
-    so appending entries leaves the part already sign-normalized as it is.
-    A row's new id numbers the pair of its old id and its new entry times
-    its sign, afresh in each call: if equal ids meant rows equal up to sign
-    before, they do after."""
-    signs = [s or (x > 0) - (x < 0) for s, x in zip(signs, column)]
-    keys = list(zip(ids, map(operator.mul, signs, column)))
-    number = dict(zip(dict.fromkeys(keys), itertools.count()))
-    return list(map(number.__getitem__, keys)), signs
-
-
 def _row_checks(
     powers: list[list[list[tuple[int, int]]]],
 ) -> dict[int, list[tuple[int, int, list]]]:
@@ -313,25 +288,25 @@ def _row_checks(
 class _Step:
     """The search state once the columns of one path are placed.
 
-    cols: the placed columns, in search order; placed[t], suffix[t]: for
-    each placed column open at t (one with a nonzero entry at t or later),
-    in search order, its entry t and the squared norm of its entries after
-    t; sides[g]: ids and signs of the rows of both sides of the check for
-    power g, over its J, left rows first (see _extend_rows); untried: the
-    candidates for the next column not yet tried.
+    cols: the placed columns in search order, each as its nonzero terms
+    (t, x); placed[t]: the nonzero pairs (j, x) of row t, one for each placed
+    column j (its index in search order) with entry x != 0 in row t, in
+    search order; suffix[j][t]: the squared norm of the entries of column j
+    after t; sides[g]: the id and the sign of each row of both sides of the
+    check for power g, over its J, left rows first (see iter_embeddings);
+    untried: the candidates for the next column not yet tried.
 
     Two row facts are read off placed.  Row t is zero on the placed columns
-    iff placed[t] is empty: a nonzero entry keeps its column open, and the
-    rows after a zero row are zero (the zero rows come last).  For t >= 1,
-    rows t and t-1 agree on the placed columns iff placed[t] == placed[t-1]:
-    a column open at t-1 but not at t has its last nonzero entry in row t-1,
-    so equal rows have the same open columns, and both rows are zero on the
-    others.
+    iff placed[t] is empty, since it lists every nonzero entry of the row.
+    Rows t and t-1 agree on the placed columns iff placed[t] == placed[t-1]:
+    a pair tuple names each nonzero entry of its row with its column, in one
+    order for all rows, so the row determines the tuple and the tuple the
+    row.
     """
 
-    cols: tuple[tuple[int, ...], ...]
-    placed: list[tuple[int, ...]]
-    suffix: list[tuple[int, ...]]
+    cols: tuple[tuple[tuple[int, int], ...], ...]
+    placed: list[tuple[tuple[int, int], ...]]
+    suffix: list[list[int]]
     sides: list[tuple[list[int], list[int]]]
     untried: Iterator[tuple[int, ...]] = iter(())
 
@@ -356,9 +331,12 @@ def iter_embeddings(
     (these rows come last) takes a value >= 1, or the column ends when its
     norm is spent; a row equal to row t-1 on every placed column (as any two
     zero rows are) takes a value <= row t-1's; every value is pruned by
-    Cauchy-Schwarz against the suffix norms of the placed columns that are
-    still open (a column with no nonzero entry left has its inner product
-    met already, and is not scanned).  Each
+    Cauchy-Schwarz against the suffix norms of the placed columns.  Only the
+    columns whose inner product with the new column still has a nonzero gap
+    are scanned, and, for a value v != 0, those with a nonzero entry in row
+    t: a zero gap with a zero entry stays zero and passes.  A column with no
+    nonzero entry left has its gap at zero, so the nonzero gaps, kept in a
+    dict by column, lose it as it closes.  Each
     nonzero row adds at least 1 to trace(sign * G), so only min(m, trace)
     rows are searched; the rest are zero rows added to each class.  Each
     leaf is put back in domain basis order, canonicalized and yielded as it
@@ -373,9 +351,10 @@ def iter_embeddings(
     back.
 
     The search keeps one _Step per placed column on an explicit stack: the
-    candidates not yet tried, the placed columns with their rows and suffix
-    norms, each extended by one entry when a column is placed, and the row
-    match state below; backtracking drops the step.  One transition makes
+    candidates not yet tried, the placed columns with the nonzero entries of
+    each row and the suffix norms of each column, which a new column extends
+    at its nonzero entries, and the row match state below; backtracking
+    drops the step.  One transition makes
     each step from its parent and a candidate: it runs that step's row
     match checks and returns the child, or None on a cut.  Only the filling
     of a single column recurses, about once per searched row, and a search
@@ -405,20 +384,28 @@ def iter_embeddings(
     entered it, on both sides, and a row's sign is that of its first
     nonzero entry in that order, so a growing J only appends entries to the
     sign-normalized rows.  Each step keeps, for each power, the sign of
-    every row of both sides and an id of its sign-normalized row
-    (_extend_rows); a check builds the image columns of the columns
-    entering J, once, appends their rows' entries, O(rows * |J_k - J_{k-1}|)
-    work, and compares the sorted ids.  A cut subtree holds no class with
-    a witness, so the stream is the unpruned one less some classes without
-    a witness, in the same order.  At the leaf the consumer's full row
-    match decides, so no check runs there.  A check is charged
-    2 * rows * |J_k| nodes, the entries a check from scratch would build,
-    not the work it does, so the charged counts do not depend on how the
-    check is implemented: refuting K_4 at corank 1 takes 1,308 nodes, K_5 at
-    corank 2 4,361, and the first 12a1019 witness at corank 1 is yielded
-    within 894.  With all the powers, the cost hardly depends on how f sits
-    in the search order: the relabellings of K_5 by a permutation of its
-    blocks and basis signs take 4,132 to 4,516 nodes.
+    every row of both sides and an id of its sign-normalized row.  The ids
+    come from one intern table per search, which maps (old id, column j,
+    normalized entry) to a fresh id when a nonzero entry is appended; a zero
+    entry leaves the id as it is, and the empty row has id 0.  So an id
+    stands for the sequence of a row's nonzero entries with their columns,
+    and two rows of one check have equal ids iff their sign-normalized rows
+    are equal.  The column must be in the key: without it, the rows
+    (1, 0, 0) and (0, 0, 1) would both be the empty row with one entry 1
+    appended.  A check sums the image columns entering J from the nonzero
+    terms of the placed columns, once, interns the ids of the rows where
+    they or the entering columns are nonzero, and compares the sorted ids.
+    A cut subtree holds no class with a witness, so the stream is the
+    unpruned one less some classes without a witness, in the same order.
+    At the leaf the consumer's full row match decides, so no check runs
+    there.  A check is charged 2 * rows * |J_k| nodes, the entries a check
+    from scratch would build, not the work it does, so the charged counts do
+    not depend on how the check is implemented: refuting K_4 at corank 1
+    takes 1,308 nodes, K_5 at corank 2 4,361, and the first 12a1019 witness
+    at corank 1 is yielded within 894.  With all the powers, the cost
+    hardly depends on how f sits in the search order: the relabellings of
+    K_5 by a permutation of its blocks and basis signs take 4,132 to 4,516
+    nodes.
 
     Raises SearchIncomplete when the consumer asks for a class past
     max_nodes; yields nothing when the form is not sign-definite; raises
@@ -459,9 +446,9 @@ def iter_embeddings(
         out: list[tuple[int, ...]] = []
         vec = [0] * rows
 
-        def fill(t: int, rem: int, gaps: list[int]):
-            # gaps: for each placed column open at t, what the inner product
-            # with it still lacks
+        def fill(t: int, rem: int, gaps: dict[int, int]):
+            # gaps: by placed column, what its inner product with the new
+            # column still lacks, where that is not 0; never changed in place
             row = placed[t] if t < rows else ()  # () past the last row too
             if not row and rem == 0:  # row t is zero on the placed columns
                 tick()
@@ -474,22 +461,25 @@ def iter_embeddings(
             lo = -bound if row else 1
             hi = min(bound, vec[t - 1]) if tie[t] else bound
             tick(max(hi - lo + 1, 0) + 1)  # this call and the values it scans
-            norms = suffix[t]
             for v in range(lo, hi + 1):
                 rem2 = rem - v * v
-                for gap, x, s in zip(gaps, row, norms):  # Cauchy-Schwarz
-                    gap -= v * x
-                    if gap * gap > rem2 * s:
+                left = gaps  # v = 0 leaves every gap as it is
+                if v and row:
+                    left = gaps.copy()
+                    for c, x in row:
+                        gap = left.pop(c, 0) - v * x
+                        if gap:
+                            left[c] = gap
+                for c, gap in left.items():  # Cauchy-Schwarz
+                    if gap * gap > rem2 * suffix[c][t]:
                         break
                 else:
                     vec[t] = v
-                    # a column closed after t has a zero gap now, and keeps it
-                    left = [gap - v * x for gap, x, s in zip(gaps, row, norms) if s]
                     fill(t + 1, rem2, left)
                     vec[t] = 0
 
         try:
-            fill(0, q[j][j], q[j][:j])
+            fill(0, q[j][j], {c: gap for c, gap in enumerate(q[j][:j]) if gap})
         except RecursionError:
             raise ValueError(
                 f"the search needs {rows} rows, too many for its column filling"
@@ -501,35 +491,42 @@ def iter_embeddings(
         h = [[d[a] * d[b] * action[a][b] for b in order] for a in order]  # like q
         powers = _half_powers(_columns(h))
     checks = _row_checks(powers)
+    intern: dict[tuple[int, int, int], int] = {}  # (id, column, normalized entry): id
 
     def child(step: _Step, col: tuple[int, ...]) -> _Step | None:
         """The state once col is placed after step, or None when the rows of
         psi[:, J_k] and (psi.g)[:, J_k] differ for a power g checked at this
         step.  Each check is charged 2 * rows * |J_k|, the entries a check
         from scratch would build."""
-        cols = step.cols + (col,)
+        k = len(step.cols)
+        cols = step.cols + (tuple((t, x) for t, x in enumerate(col) if x),)
         sides = list(step.sides)
-        for g, size, entering in checks.get(len(step.cols), ()):
+        for g, size, entering in checks.get(k, ()):
             tick(2 * rows * size)
-            ids, signs = sides[g]
+            ids, signs = (side[:] for side in sides[g])
             for j, terms in entering:  # both sides: psi[:, j], then (psi.g)[:, j]
-                ids, signs = _extend_rows(ids, signs, cols[j] + _image(terms, cols))
+                image: dict[int, int] = {}
+                for i, c in terms:
+                    for t, x in cols[i]:
+                        image[rows + t] = image.get(rows + t, 0) + c * x
+                for r, x in cols[j] + tuple(image.items()):
+                    if x:
+                        s = signs[r] = signs[r] or (x > 0) - (x < 0)
+                        ids[r] = intern.setdefault((ids[r], j, s * x), len(intern) + 1)
             if sorted(ids[:rows]) != sorted(ids[rows:]):
                 return None
             sides[g] = (ids, signs)
-        # norms[t]: the squared norm of col[t:]; col is open at t while it is > 0
+        # norms[t]: the squared norm of col[t:]
         norms = list(itertools.accumulate((x * x for x in reversed(col)), initial=0))
         norms.reverse()
-        return _Step(
-            cols,
-            [row + (x,) if a else row for row, x, a in zip(step.placed, col, norms)],
-            [row + (b,) if a else row for row, a, b in zip(step.suffix, norms, norms[1:])],
-            sides,
-        )
+        placed = step.placed[:]
+        for t, x in cols[k]:
+            placed[t] += ((k, x),)
+        return _Step(cols, placed, step.suffix + [norms[1:]], sides)
 
     # while J is empty, every row of both sides has id 0 and sign 0
     empty = [0] * (2 * rows)
-    root = _Step((), [()] * rows, [()] * rows, [(empty, empty)] * len(powers))
+    root = _Step((), [()] * rows, [], [(empty, empty)] * len(powers))
     root.untried = iter(candidates(root))
     stack = [root]  # stack[k]: the state once k columns are placed
     while stack:
@@ -542,14 +539,13 @@ def iter_embeddings(
         if step is None:
             continue
         if len(step.cols) == n:
-            by_domain = dict(zip(order, step.cols))
-            mat = tuple(zip(*(
-                by_domain[j] if d[j] > 0 else tuple(-x for x in by_domain[j])
-                for j in range(n)
-            )))
+            mat = [[0] * n for _ in range(rows)]
+            for j, terms in zip(order, step.cols):
+                for t, x in terms:
+                    mat[t][j] = d[j] * x
             # canonical rows sort zero rows last
             yield LatticeEmbedding(
-                _canonical_rows(mat) + ((0,) * n,) * (m - rows), lat, target
+                _canonical_rows(map(tuple, mat)) + ((0,) * n,) * (m - rows), lat, target
             )
         else:
             step.untried = iter(candidates(step))

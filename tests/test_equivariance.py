@@ -711,14 +711,21 @@ class TestExistsEquivariant:
         with pytest.raises(SearchIncomplete):
             exists_equivariant_embedding(lat, f, 1, -1, max_nodes=1000)
 
-    @pytest.mark.parametrize("n, nodes", [(5, 4361), (7, 16706), (9, 52337)])
-    def test_kn_refutation_node_counts(self, n, nodes):
+    @pytest.mark.parametrize(
+        "n, corank, nodes",
+        [
+            pytest.param(n, 2, nodes, id=f"{n}-{nodes}")
+            for n, nodes in [(5, 4361), (7, 16706), (9, 52337), (11, 125976), (17, 955581)]
+        ]
+        + [pytest.param(20, 1, 1897668, id="20-corank-1-1897668")],
+    )
+    def test_kn_refutation_node_counts(self, n, corank, nodes):
         # the row-match charges included; the count is exact, so a change
         # to how the checks are computed must keep every cut and every charge
         lat, f = family.goeritz_Gn(n), family.action_fn(n)
-        assert exists_equivariant_embedding(lat, f, 2, -1, max_nodes=nodes) is None
+        assert exists_equivariant_embedding(lat, f, corank, -1, max_nodes=nodes) is None
         with pytest.raises(SearchIncomplete):
-            exists_equivariant_embedding(lat, f, 2, -1, max_nodes=nodes - 1)
+            exists_equivariant_embedding(lat, f, corank, -1, max_nodes=nodes - 1)
 
     @pytest.mark.parametrize(
         "lat, f, corank, sign, classes, nodes",
